@@ -226,6 +226,7 @@ def run_one(args) -> int:
         }
     else:
         measured, raw_seconds = timed(workload, state, ops, host)
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
     checks = workload.check(state)
     if tracer is not None:
@@ -247,7 +248,7 @@ def run_one(args) -> int:
             "latency_p50_ms": statistics.median(measured.latencies) * 1e3,
             "latency_tail_ms": quantile(measured.durations, measured.tail) * 1e3,
             "setup_s": statistics.median(setups),
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+            "peak_rss_mb": peak_rss_mb,
         }
     stamp["host_scale"] = sum(measured.durations) / raw_seconds
     stamp["raw_throughput_per_s"] = measured.work / raw_seconds
