@@ -7,7 +7,7 @@ against their sequential/independent baselines.  By default the drivers
 run at the ``smoke`` scale so the whole harness finishes quickly; set
 ``REPRO_BENCH_SCALE=fast`` (or ``paper``) to regenerate the figures at
 larger scales, and run with ``pytest -s`` to see the rendered series next
-to the timings.  EXPERIMENTS.md records reference output.
+to the timings.
 
 All benchmarks report through pytest-benchmark, so one
 ``--benchmark-json=out.json`` run produces a single result file: figure

@@ -79,7 +79,6 @@ def batched_deterministic_order(
     tie_breaker: str,
     rngs: Sequence[np.random.Generator],
     out_tie_keys: Optional[np.ndarray] = None,
-    prev_perm: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Batched equivalent of ``rankers._deterministic_order`` row by row.
 
@@ -95,11 +94,6 @@ def batched_deterministic_order(
             ``tie_breaker="random"`` the per-row tie keys are drawn into it,
             so callers that *maintain* the resulting order (the serving
             sweep) can keep the keys alongside the permutation.
-        prev_perm: optional ``(R, n)`` hint — each row's permutation from
-            the previous ranking of the same community.  On near-sorted
-            days the backend merges the surviving sorted runs instead of
-            re-sorting (falling back to the full sort otherwise); the
-            result is bit-identical either way.
 
     Returns:
         ``(R, n)`` permutations, each bit-identical to what
@@ -107,8 +101,7 @@ def batched_deterministic_order(
         would return.
     """
     return get_backend().rank_day(
-        scores, ages, tie_breaker, rngs,
-        out_tie_keys=out_tie_keys, prev_perm=prev_perm,
+        scores, ages, tie_breaker, rngs, out_tie_keys=out_tie_keys
     )
 
 

@@ -87,26 +87,18 @@ def draw_tie_keys(
 
 
 class RankRouteStats:
-    """Cumulative per-row counters for the adaptive ``rank_day`` router.
+    """Cumulative per-row counters of the ``rank_day`` sort routes.
 
     One module-level instance (:data:`ROUTE_STATS`) is shared by every
-    backend: the numba backend updates the same object, so callers
-    (benches, :class:`~repro.simulation.batch.BatchSimulator` telemetry,
-    sweep resorts) sample route mix without caring which backend ran.
-    Counters only ever increase; callers snapshot before/after a region
-    and difference the totals.  ``displacement_sum``/``displacement_max``
-    track the estimated (numpy) or realized (numba) per-row displacement
-    bound of rows that took the windowed route.
+    backend.  ``rank_day`` has one route, the full argsort, so only
+    ``full`` moves (one count per ranked row).  ``copy``, ``run_merge``
+    and ``windowed`` always read 0; they stay because readers of
+    :meth:`as_dict` (the repository benchmark's route counts) expect
+    their keys.  Counters only ever increase; callers snapshot
+    before/after a region and difference the totals.
     """
 
-    __slots__ = (
-        "copy",
-        "run_merge",
-        "windowed",
-        "full",
-        "displacement_sum",
-        "displacement_max",
-    )
+    __slots__ = ("copy", "run_merge", "windowed", "full")
 
     def __init__(self) -> None:
         self.reset()
@@ -116,14 +108,6 @@ class RankRouteStats:
         self.run_merge = 0
         self.windowed = 0
         self.full = 0
-        self.displacement_sum = 0
-        self.displacement_max = 0
-
-    def record_windowed(self, rows: int, displacement_sum: int, displacement_max: int) -> None:
-        self.windowed += rows
-        self.displacement_sum += displacement_sum
-        if displacement_max > self.displacement_max:
-            self.displacement_max = displacement_max
 
     def as_dict(self) -> dict:
         return {
@@ -131,8 +115,6 @@ class RankRouteStats:
             "rank_route_run_merge": self.run_merge,
             "rank_route_windowed": self.windowed,
             "rank_route_full": self.full,
-            "rank_displacement_sum": self.displacement_sum,
-            "rank_displacement_max": self.displacement_max,
         }
 
 
@@ -201,35 +183,14 @@ class KernelBackend(abc.ABC):
         tie_breaker: str,
         rngs: Sequence[np.random.Generator],
         out_tie_keys: Optional[np.ndarray] = None,
-        prev_perm: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Batched descending order over ``(R, n)`` scores with exact ties.
 
         Row ``r`` must equal ``np.lexsort`` over the sequential composite
         key (see ``repro.core.rankers._deterministic_order``) bit for bit,
         consuming ``rngs[r]`` via :func:`draw_tie_keys` when
-        ``tie_breaker == "random"``.
-
-        ``prev_perm`` is an optional ``(R, n)`` permutation hint — row
-        ``r``'s ranking from the *previous* day.  Popularity drifts slowly
-        between days, so yesterday's order viewed under today's scores is
-        often a small number of sorted runs; a backend may then build the
-        new permutation by merging those runs instead of re-sorting from
-        scratch.  When the day is instead *densely* perturbed — too many
-        runs to merge, but every page displaced by at most ``d`` ranks (the
-        fluid steady state) — a backend may estimate ``d`` from the hint
-        and sort overlapping width-``2d`` windows along yesterday's order
-        (the displacement-bounded windowed route), verifying the bound
-        after the fact.  The hint never changes the result: the permutation
-        contract above is bit-identical with or without it (any sort order
-        within equal primary keys is normalized by the exact tie repair),
-        and a backend must fall back to the full sort whenever the hint is
-        not actually near-sorted or a row violates its displacement bound.
-        Tie-key draws are taken *before* the sort path is chosen, so RNG
-        consumption is hint-independent.  Route choices and realized
-        displacement bounds are accounted per row in
-        :data:`repro.core.kernels.api.ROUTE_STATS` (shared by all
-        backends).
+        ``tie_breaker == "random"``.  Each ranked row is counted in
+        :data:`repro.core.kernels.api.ROUTE_STATS` ``.full``.
         """
 
     @abc.abstractmethod

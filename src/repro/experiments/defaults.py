@@ -12,7 +12,7 @@ every point of every figure, so each experiment accepts a *scale*:
 
 The scaled community keeps the ratios the paper identifies as the governing
 characteristics, so the qualitative shape of every figure is preserved; the
-absolute QPC/TBP values differ (see EXPERIMENTS.md).
+absolute QPC/TBP values differ.
 """
 
 from __future__ import annotations

@@ -61,10 +61,6 @@ class ServingConfig:
     staleness_budget: int = 4
     seed: int = 0
     feedback_rate: float = 0.2
-    # Route engine full re-sorts through the adaptive rank_day router
-    # (copy / run-merge / windowed / full), using the maintained order as
-    # the near-sorted hint; bit-identical to the plain lexsort path.
-    adaptive_rank: bool = False
     # Multi-tenant pool shape (workers == 0 selects the in-process router).
     tenants: int = 1
     workers: int = 0
@@ -240,7 +236,6 @@ def build_router(
                 state=state,
                 name="shard-%d" % shard,
                 seed=rng,
-                adaptive_rank=config.adaptive_rank,
             )
         )
     router = ShardedRouter(engines)

@@ -65,7 +65,6 @@ class ServingEngine:
         state: Optional[PopularityState] = None,
         name: str = "community",
         seed: RandomSource = None,
-        adaptive_rank: bool = False,
     ) -> None:
         self.community = community
         self.policy = policy
@@ -89,7 +88,6 @@ class ServingEngine:
             else PopularityState.from_config(community, self.rng, mode=mode)
         )
         self.day = 0
-        self.adaptive_rank = bool(adaptive_rank)
         self.full_sorts = 0
         self.repairs = 0
         self.telemetry = NULL_RECORDER
@@ -214,26 +212,9 @@ class ServingEngine:
             return
         if dirty.size >= n // 2:
             # Most of the community moved; a fresh sort is cheaper than a
-            # merge.  With adaptive_rank the re-sort routes through the
-            # kernel layer's rank_day router with yesterday's order as
-            # the hint — same tie-key draw from the same generator, and
-            # the route decision layer (copy / run-merge / windowed /
-            # full) picks the cheapest exact path.  Bit-identical to the
-            # lexsort by the PR 5 parity contract.
-            if self.adaptive_rank:
-                from repro.core.batch_rank import batched_deterministic_order
-
-                tie_keys = np.empty((1, n), dtype=float)
-                order = batched_deterministic_order(
-                    pop[None, :], None, "random", [self.rng],
-                    out_tie_keys=tie_keys,
-                    prev_perm=self._order[None, :],
-                )
-                self._tie_key = tie_keys[0].copy()
-                self._order = order[0].copy()
-            else:
-                self._tie_key = self.rng.random(n)
-                self._order = np.lexsort((self._tie_key, -pop))
+            # merge.
+            self._tie_key = self.rng.random(n)
+            self._order = np.lexsort((self._tie_key, -pop))
             self.full_sorts += 1
             if self.telemetry.enabled:
                 self.telemetry.record_full_sort()

@@ -263,6 +263,13 @@ class ServingPool:
     :func:`~repro.serving.tenancy.plan_tenancy`.  Work arrives as
     ``submit(tenant, n_queries)`` batches routed to the owning worker's
     bounded inbox.
+
+    Use it as a context manager so an exception before :meth:`shutdown`
+    still stops the workers and unlinks the shared blocks::
+
+        with ServingPool(config) as pool:
+            pool.submit(0, 100)
+            stats = pool.shutdown()
     """
 
     def __init__(
@@ -289,6 +296,7 @@ class ServingPool:
         self.backpressure_events = 0
         self.worker_restarts = 0
         self._released = False
+        self._stopped = False
 
         # One shared block + lock per (tenant, shard), partitioned exactly
         # the way build_router partitions a community, with the quality
@@ -480,6 +488,7 @@ class ServingPool:
         query counts, OCC accounting from both the workers and the shared
         headers, backpressure and restart counters).
         """
+        self._stopped = True
         for inbox in self._inboxes:
             inbox.put(("stop",))
         payloads: Dict[int, Dict] = {}
@@ -545,6 +554,13 @@ class ServingPool:
                 self.telemetry.emit_row(row)
         stats.update(self.shared_counters())
         return stats
+
+    def __enter__(self) -> "ServingPool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if not self._stopped:
+            self.shutdown()
 
     def release(self) -> None:
         """Close and unlink every shared block (idempotent)."""
@@ -624,31 +640,31 @@ def run_pool_benchmark(
         return started
 
     # Phase 1: single-worker reference over the same tenants and batches.
-    reference = ServingPool(config.replace(workers=1, clients=0), warm=True)
-    started = drive(reference)
-    reference_stats = reference.shutdown()
-    reference_seconds = time.perf_counter() - started
+    with ServingPool(config.replace(workers=1, clients=0), warm=True) as reference:
+        started = drive(reference)
+        reference_stats = reference.shutdown()
+        reference_seconds = time.perf_counter() - started
     qps_single = reference_stats["queries"] / max(reference_seconds, 1e-9)
 
     # Phase 2: the full pool with concurrent client writers.
-    pool = ServingPool(config, telemetry=telemetry, warm=True)
-    client_processes = pool.start_clients(
-        config.clients, rounds=client_rounds, batch=client_batch
-    )
-    started = drive(pool)
-    client_payloads = pool.join_clients(client_processes)
-    pool_stats = pool.shutdown()
-    pool_seconds = time.perf_counter() - started
+    with ServingPool(config, telemetry=telemetry, warm=True) as pool:
+        client_processes = pool.start_clients(
+            config.clients, rounds=client_rounds, batch=client_batch
+        )
+        started = drive(pool)
+        client_payloads = pool.join_clients(client_processes)
+        pool_stats = pool.shutdown()
+        pool_seconds = time.perf_counter() - started
     qps_pool = pool_stats["queries"] / max(pool_seconds, 1e-9)
 
     # Phase 3: saturation — a burst against a tiny inbox must engage
     # backpressure rather than grow the queue.
-    saturation = ServingPool(
+    with ServingPool(
         config.replace(workers=1, clients=0, inbox_capacity=1), warm=True
-    )
-    for _ in range(8):
-        saturation.submit(0, per_batch)
-    saturation_stats = saturation.shutdown()
+    ) as saturation:
+        for _ in range(8):
+            saturation.submit(0, per_batch)
+        saturation_stats = saturation.shutdown()
 
     client_sent = sum(p["sent_events"] for p in client_payloads)
     client_committed = sum(p["committed_events"] for p in client_payloads)

@@ -60,7 +60,6 @@ from repro.core.batch_rank import (
     batched_prefix_promotion_slots,
 )
 from repro.core.kernels import get_backend
-from repro.core.kernels import ROUTE_STATS
 from repro.core.policy import VALID_RULES, RankPromotionPolicy
 from repro.serving.cache import page_key
 from repro.serving.engine import ServingEngine
@@ -930,13 +929,6 @@ class ServingSweep:
                 "random",
                 [engine.rng for engine in group],
                 out_tie_keys=tie_keys,
-                # Every resorting lane maintains an order already (fresh
-                # lanes go through _bootstrap); yesterday's orders are the
-                # adaptive hint.  These lanes crossed the half-dirty
-                # threshold, so the kernel usually falls back to the full
-                # sort — the hint costs one run-detection pass and wins
-                # whenever the feedback left the order near-sorted anyway.
-                prev_perm=np.stack([engine._order for engine in group]),
             )
             for row, engine in enumerate(group):
                 engine._tie_key = tie_keys[row].copy()
@@ -1296,7 +1288,6 @@ def run_sweep_benchmark(
                 independent_seconds = elapsed
             independent = replays  # identical results every repetition
 
-            routes_before = ROUTE_STATS.as_dict()
             candidate = run_sweep(
                 community,
                 variants,
@@ -1305,16 +1296,6 @@ def run_sweep_benchmark(
                 n_workers=n_workers,
                 warm_awareness=warm_awareness,
             )
-            # Deterministic replay: every repetition takes identical
-            # routes, so the last delta tags the report (grouped lane
-            # resorts go through the adaptive rank_day router; worker
-            # processes keep their own counters).
-            routes_after = ROUTE_STATS.as_dict()
-            route_delta = {
-                key: routes_after[key] - value
-                for key, value in routes_before.items()
-                if key != "rank_displacement_max"
-            }
             if gc_was_enabled:
                 gc.enable()
             if sweep is None or candidate.elapsed_seconds < sweep.elapsed_seconds:
@@ -1385,8 +1366,6 @@ def run_sweep_benchmark(
     }
     if parity is not None:
         report["parity_bit_identical"] = 1.0 if parity else 0.0
-    for key, value in route_delta.items():
-        report["resort_%s" % key] = float(value)
     if recorder is not None:
         report.update(recorder.snapshot())
     return report

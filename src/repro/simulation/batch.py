@@ -37,7 +37,6 @@ from repro.community.lifecycle import Lifecycle, PoissonLifecycle
 from repro.community.page import BatchPagePool
 from repro.core.kernels import get_backend
 from repro.core.rankers import Ranker
-from repro.core.kernels import ROUTE_STATS
 from repro.core.rankers_context import BatchRankingContext
 from repro.metrics.qpc import QPCAccumulator
 from repro.metrics.tbp import tbp_from_trajectory
@@ -70,12 +69,6 @@ class BatchSimulator:
             parity; by default the family is spawned from ``config.seed``.
         history_length: recent popularity snapshots kept for history-aware
             rankers (the fallback path slices them per row).
-        adaptive_rank: thread each day's deterministic order into the next
-            day's ranking as a near-sorted hint, letting the kernel layer
-            merge surviving sorted runs instead of re-sorting from scratch
-            (``rank_day``'s ``prev_perm`` argument).  Results are
-            bit-identical either way — the kernel falls back to the full
-            sort whenever the day is not actually near-sorted.
     """
 
     def __init__(
@@ -89,7 +82,6 @@ class BatchSimulator:
         replicates: int = 1,
         rngs: Optional[Sequence[np.random.Generator]] = None,
         history_length: int = 0,
-        adaptive_rank: bool = False,
     ) -> None:
         self.community = community
         self.ranker = ranker
@@ -113,8 +105,6 @@ class BatchSimulator:
         self.day = 0
         self._history: Deque[np.ndarray] = deque(maxlen=self.history_length or None)
         self._shares = np.empty((self.replicates, self.pool.n), dtype=float)
-        self.adaptive_rank = bool(adaptive_rank)
-        self._prev_order: Optional[np.ndarray] = None
         self.telemetry = NULL_RECORDER
 
     @property
@@ -141,23 +131,10 @@ class BatchSimulator:
         if telemetry.enabled:
             day = self.day
             started = time.perf_counter()
-            routes = ROUTE_STATS.as_dict() if self.adaptive_rank else None
             try:
                 return self._step(compute_all_visits)
             finally:
                 telemetry.record_day_step(day, time.perf_counter() - started)
-                if routes is not None:
-                    after = ROUTE_STATS.as_dict()
-                    telemetry.record_rank_routes(
-                        after["rank_route_full"] - routes["rank_route_full"],
-                        after["rank_route_run_merge"]
-                        - routes["rank_route_run_merge"],
-                        after["rank_route_windowed"]
-                        - routes["rank_route_windowed"],
-                        after["rank_route_copy"] - routes["rank_route_copy"],
-                        after["rank_displacement_sum"]
-                        - routes["rank_displacement_sum"],
-                    )
         return self._step(compute_all_visits)
 
     def _step(self, compute_all_visits: bool) -> Optional[np.ndarray]:
@@ -167,14 +144,8 @@ class BatchSimulator:
             pool,
             now=float(self.day),
             popularity_history=self._history_array(),
-            prev_order=self._prev_order if self.adaptive_rank else None,
         )
         rankings = self.ranker.rank_batch(context, self.rngs)
-        if self.adaptive_rank:
-            # Built-in rankers record the deterministic order they computed;
-            # it becomes tomorrow's near-sorted hint.  Custom rankers that
-            # never set it simply keep the full-sort path.
-            self._prev_order = context.deterministic_order
 
         surfing_fraction = 0.0
         surf_shares = None
@@ -313,7 +284,6 @@ def _run_batch_block(
     lifecycle: Optional[Lifecycle],
     rngs: Sequence[np.random.Generator],
     history_length: int,
-    adaptive_rank: bool = False,
     telemetry=None,
 ) -> List[SimulationResult]:
     """Worker entry point: advance one replicate block to completion."""
@@ -326,7 +296,6 @@ def _run_batch_block(
         lifecycle=lifecycle,
         rngs=rngs,
         history_length=history_length,
-        adaptive_rank=adaptive_rank,
     )
     if telemetry is not None:
         simulator.telemetry = telemetry
@@ -345,7 +314,6 @@ def run_batch(
     seed: RandomSource = None,
     history_length: int = 0,
     n_workers: Optional[int] = None,
-    adaptive_rank: bool = False,
     telemetry=None,
 ) -> List[SimulationResult]:
     """Run ``R`` replicates through the batch engine, optionally sharded.
@@ -378,7 +346,7 @@ def run_batch(
     if n_workers <= 1:
         return _run_batch_block(
             community, ranker, config, attention, surfing, lifecycle,
-            rngs, history_length, adaptive_rank, telemetry,
+            rngs, history_length, telemetry,
         )
 
     blocks = np.array_split(np.arange(len(rngs)), n_workers)
@@ -395,7 +363,6 @@ def run_batch(
                 lifecycle,
                 [rngs[i] for i in block],
                 history_length,
-                adaptive_rank,
             )
             for block in blocks
         ]

@@ -164,54 +164,70 @@ class TestServingPool:
             assert np.array_equal(frozen.quality, engine.state.quality)
             assert frozen.version == engine.state.version
 
-    def test_single_worker_adaptive_rank_matches_in_process_router(self):
-        """A pooled adaptive_rank run is bit-identical to the in-process one.
+    def test_single_worker_full_resort_matches_in_process_router(self):
+        """A full re-sort after pooled serving stays bit-identical.
 
         After the streaming identity check, an all-pages feedback batch
-        pushes every engine over the half-community dirty threshold, so the
-        next query provably takes the adaptive full re-sort branch — and
-        still serves the exact pages (and maintains the exact order) the
-        plain-lexsort reference does.
+        pushes every reference engine over the half-community dirty
+        threshold, so the next query provably takes the full re-sort
+        branch; two identical in-process replays of the pool's stream
+        must then serve the same pages and maintain the same order.
         """
-        config = self.CONFIG.replace(adaptive_rank=True)
         batches = [100, 100]
-        pool = build_pool(config, warm=True)
+        pool = build_pool(self.CONFIG, warm=True)
         for n_queries in batches:
             pool.submit(0, n_queries)
         stats = pool.shutdown()
         assert stats["queries"] == float(sum(batches))
 
-        spec = plan_tenancy(1, 1, config.seed, config.n_pages)[0]
-        adaptive = _reference_router_run(config, spec, batches)
-        plain = _reference_router_run(
-            config.replace(adaptive_rank=False), spec, batches
-        )
-        for shard, engine in enumerate(adaptive.engines):
+        spec = plan_tenancy(1, 1, self.CONFIG.seed, self.CONFIG.n_pages)[0]
+        ours = _reference_router_run(self.CONFIG, spec, batches)
+        theirs = _reference_router_run(self.CONFIG, spec, batches)
+        for shard, engine in enumerate(ours.engines):
             frozen = pool.states[0][shard]
             assert np.array_equal(
                 frozen.pool.aware_count, engine.state.pool.aware_count
             )
             assert frozen.version == engine.state.version
-        # Both reference runs replayed the pool's stream bit-identically,
-        # so their engines (and rng states) agree; now force the adaptive
-        # full-resort branch and demand it stays invisible downstream.
-        for adaptive_engine, plain_engine in zip(
-            adaptive.engines, plain.engines
-        , strict=True):
-            touched = np.arange(adaptive_engine.state.n)
-            adaptive_engine.apply_feedback(touched)
-            plain_engine.apply_feedback(touched)
-            full_sorts = adaptive_engine.full_sorts
-            adaptive_page = adaptive_engine.top_k(10)
-            plain_page = plain_engine.top_k(10)
-            assert adaptive_engine.full_sorts == full_sorts + 1
-            assert np.array_equal(adaptive_page, plain_page)
+        for engine, twin in zip(ours.engines, theirs.engines, strict=True):
+            touched = np.arange(engine.state.n)
+            engine.apply_feedback(touched)
+            twin.apply_feedback(touched)
+            full_sorts = engine.full_sorts
+            page = engine.top_k(10)
+            assert engine.full_sorts == full_sorts + 1
+            assert np.array_equal(page, twin.top_k(10))
+            assert np.array_equal(engine._order, twin._order)
+            assert np.array_equal(engine._tie_key, twin._tie_key)
             assert np.array_equal(
-                adaptive_engine._order, plain_engine._order
+                engine._order,
+                np.lexsort((engine._tie_key, -engine.state.popularity)),
             )
-            assert np.array_equal(
-                adaptive_engine._tie_key, plain_engine._tie_key
-            )
+
+    def test_context_manager_cleans_up_on_exception(self):
+        """An exception inside ``with`` still stops workers and unlinks."""
+        import multiprocessing
+        from multiprocessing import shared_memory
+
+        class Boom(Exception):
+            pass
+
+        with pytest.raises(Boom):
+            with ServingPool(
+                self.CONFIG.replace(tenants=2, workers=2), warm=True
+            ) as pool:
+                pool.submit(0, 20)
+                raise Boom
+        assert multiprocessing.active_children() == []
+        names = [
+            handle.name
+            for handles in pool.handles.values()
+            for handle in handles
+        ]
+        assert names
+        for name in names:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
 
     def test_two_identical_pools_agree(self):
         results = []
