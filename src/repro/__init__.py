@@ -38,9 +38,7 @@ built from one frozen, JSON-round-trippable :class:`ServingConfig`::
     stats = run_stream(router, n_queries=10_000, workload=workload)
     print(stats.queries_per_second, stats.extra["cache_hit_rate"])
 
-(The historical ``ShardedRouter.from_community(...)`` classmethod remains
-as a thin shim over the same construction path.)  With
-``workers``/``tenants``/``clients`` set, ``build_pool(config)`` hosts many
+With ``workers``/``tenants``/``clients`` set, ``build_pool(config)`` hosts many
 tenant communities behind a process-per-shard pool whose popularity
 arrays live in shared memory, so real concurrent writers race feedback
 commits through the OCC path.  Or from the terminal::

@@ -78,10 +78,10 @@ class RetryPolicy:
 class FlushReport:
     """Structured outcome of one ``flush_feedback`` call.
 
-    Replaces the historical bare applied-event integer so callers (and the
-    bench ``extra_info``) can see the OCC write path's behaviour: how many
-    events committed, how many commit attempts conflicted and were retried,
-    and what was lost to scripted faults or dead-lettering.
+    Callers (and the bench ``extra_info``) see the OCC write path's
+    behaviour: how many events committed, how many commit attempts
+    conflicted and were retried, and what was lost to scripted faults or
+    dead-lettering.
     """
 
     batches: int = 0
@@ -92,9 +92,6 @@ class FlushReport:
     dead_letter_events: int = 0
     dropped_events: int = 0
     backoff_seconds: float = 0.0
-
-    def __bool__(self) -> bool:
-        return self.committed > 0
 
     def merge(self, other: "FlushReport") -> "FlushReport":
         """Fold another report into this one (returns ``self``)."""

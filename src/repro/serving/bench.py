@@ -16,10 +16,11 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.community.config import CommunityConfig, DEFAULT_COMMUNITY
+from repro.community.config import CommunityConfig
 from repro.core.kernels import get_backend, use_backend
 from repro.core.policy import RECOMMENDED_POLICY, RankPromotionPolicy
 from repro.core.rankers_context import RankingContext
+from repro.serving.config import ServingConfig, build_router
 from repro.serving.router import ShardedRouter
 from repro.serving.workload import StreamingWorkload, WorkloadConfig, run_stream
 from repro.utils.rng import RandomSource, as_rng, derive_seed
@@ -119,15 +120,17 @@ def run_serving_benchmark(
             )
     kernels = get_backend()
     kernels.warmup()  # JIT backends compile outside the timed regions
-    community = DEFAULT_COMMUNITY.scaled(n_pages)
-    router = ShardedRouter.from_community(
-        community,
-        policy,
+    config = ServingConfig(
+        n_pages=n_pages,
         n_shards=n_shards,
+        policy_rule=policy.rule,
+        policy_k=policy.k,
+        policy_r=policy.r,
         cache_capacity=cache_capacity,
         staleness_budget=staleness_budget,
         seed=seed,
     )
+    router = build_router(config)
     seed_steady_state_awareness(router, rng=derive_seed(seed, "serving-warm"))
     workload = StreamingWorkload(
         WorkloadConfig(
@@ -159,7 +162,7 @@ def run_serving_benchmark(
             router.attach_telemetry(NULL_RECORDER)
 
     baseline_latency = time_full_rank_baseline(
-        community, policy, n_queries=baseline_queries, seed=derive_seed(seed, "baseline")
+        config.community(), policy, n_queries=baseline_queries, seed=derive_seed(seed, "baseline")
     )
     report = stats.as_dict()
     report.update(
@@ -225,17 +228,19 @@ def measure_telemetry_overhead(
 
     kernels = get_backend()
     kernels.warmup()  # JIT backends compile outside the timed regions
-    community = DEFAULT_COMMUNITY.scaled(n_pages)
+    config = ServingConfig(
+        n_pages=n_pages,
+        n_shards=n_shards,
+        policy_rule=policy.rule,
+        policy_k=policy.k,
+        policy_r=policy.r,
+        cache_capacity=cache_capacity,
+        staleness_budget=staleness_budget,
+        seed=seed,
+    )
 
     def build() -> tuple:
-        router = ShardedRouter.from_community(
-            community,
-            policy,
-            n_shards=n_shards,
-            cache_capacity=cache_capacity,
-            staleness_budget=staleness_budget,
-            seed=seed,
-        )
+        router = build_router(config)
         seed_steady_state_awareness(router, rng=derive_seed(seed, "serving-warm"))
         workload = StreamingWorkload(
             WorkloadConfig(

@@ -1,20 +1,14 @@
 """One frozen construction surface for the serving tier.
 
-The serving stack historically grew three parallel construction idioms:
-``ShardedRouter.from_community(...)`` with six keyword knobs, post-hoc
-``router.telemetry = recorder`` attribute assignment, and a separate
-``enable_robustness(retry=..., seed=...)`` call.  The multi-tenant
-process pool forces the issue — a configuration must cross process
-boundaries, so it has to be *data*.  :class:`ServingConfig` is that
-data: a frozen, JSON-round-trippable dataclass carrying every serving
-knob (community size, sharding, policy, cache, OCC retry, tenancy,
-telemetry), with :func:`build_router` and :func:`build_pool` as the two
-entry points that turn it into a running service.
-
-``ShardedRouter.from_community`` remains as a thin deprecation shim that
-delegates here, so the construction path — and therefore every random
-stream — is shared and the resulting router is bit-identical whichever
-door was used.
+:class:`ServingConfig` is a frozen, JSON-round-trippable dataclass
+carrying every serving knob (community size, sharding, policy, cache,
+OCC retry, tenancy, telemetry).  Being data, one config can be validated
+once in the parent and shipped verbatim to every pool worker process.
+:func:`build_router` and :func:`build_pool` are the two entry points that
+turn it into a running service; every router — the benches, the chaos
+run, the sweep's variants and the pool's workers — is built by
+:func:`build_router`, so shard partitioning and the per-shard random
+streams are identical everywhere.
 """
 
 from __future__ import annotations
@@ -158,29 +152,24 @@ def build_router(
     *,
     community: Optional[CommunityConfig] = None,
     seed: RandomSource = _CONFIG_SEED,
-    policy: Optional[RankPromotionPolicy] = None,
     telemetry=None,
     states: Optional[list] = None,
 ):
     """Build a :class:`~repro.serving.router.ShardedRouter` from ``config``.
 
-    This is *the* construction path: the ``from_community`` shim, the
-    benches, and the pool's worker processes all come through here, so
-    shard partitioning (remainder spread over the first shards) and the
-    per-shard child random streams are identical everywhere.
+    The community is split into ``config.n_shards`` shards (the remainder
+    spread over the first shards), each with its own child random stream
+    spawned from the seed.
 
     Args:
         config: the deployment description.
         community: community override (defaults to ``config.community()``).
-            The explicit override wins — it lets callers keep custom
-            user/page ratios that the JSON form cannot carry.
+            It lets the sweep keep custom user/page ratios that the JSON
+            form cannot carry.
         seed: random-source override for the shard stream spawn; the
-            default uses ``config.seed``.  Accepts generators and seed
-            sequences for legacy call sites.
-        policy: policy-object override (defaults to ``config.policy()``,
-            which is field-for-field identical).
-        telemetry: a recorder to attach (replaces the historical post-hoc
-            ``router.telemetry = ...`` assignment).
+            default uses ``config.seed``.  The sweep passes each variant's
+            :class:`numpy.random.SeedSequence` here.
+        telemetry: a recorder to attach.
         states: optional per-shard externally-owned
             :class:`~repro.serving.state.PopularityState` objects — the
             serving pool passes shared-memory-backed states here so the
@@ -192,8 +181,7 @@ def build_router(
 
     if community is None:
         community = config.community()
-    if policy is None:
-        policy = config.policy()
+    policy = config.policy()
     if seed is _CONFIG_SEED:
         seed = config.seed
     n_shards = config.n_shards

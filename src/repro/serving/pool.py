@@ -112,15 +112,17 @@ def _worker_main(
     # the racing writers finish, the next attempt sees a stable version.
     leftover_events = 0.0
     for router in routers.values():
+        dead_letters = router.robustness.dead_letters
         report = router.flush_feedback()
         rounds = 0
-        while len(router.dead_letters) and rounds < 64:
+        while len(dead_letters) and rounds < 64:
             report.merge(router.redeliver_dead_letters())
             rounds += 1
         committed += float(report.committed)
         leftover_events += float(
-            sum(letter.events for letter in router.dead_letters.letters)
+            sum(letter.events for letter in dead_letters.letters)
         )
+    states = [router.robustness for router in routers.values()]
     payload = {
         "worker": float(worker_index),
         "queries": float(sum(queries_per_tenant.values())),
@@ -128,8 +130,8 @@ def _worker_main(
         "feedback_events": feedback_events,
         "committed_events": committed,
         "dead_letter_events": leftover_events,
-        "occ_conflicts": float(sum(r.occ_conflicts for r in routers.values())),
-        "occ_retries": float(sum(r.occ_retries for r in routers.values())),
+        "occ_conflicts": float(sum(state.occ_conflicts for state in states)),
+        "occ_retries": float(sum(state.occ_retries for state in states)),
     }
     for tenant, count in queries_per_tenant.items():
         payload["queries_tenant_%d" % tenant] = count

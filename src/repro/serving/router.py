@@ -29,14 +29,13 @@ popularity state, result cache and random stream.  The router:
 
 from __future__ import annotations
 
+import math
 import time
 import zlib
 from typing import Dict, Hashable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.community.config import CommunityConfig
-from repro.core.policy import RECOMMENDED_POLICY, RankPromotionPolicy
 from repro.robustness.faults import (
     NULL_INJECTOR,
     FaultInjector,
@@ -121,6 +120,8 @@ class ShardedRouter:
         if not engines:
             raise ValueError("a router needs at least one shard engine")
         self.engines: List[ServingEngine] = list(engines)
+        # Captured once: a crashed shard's ``engine.state`` is None.
+        self._shard_sizes = [engine.state.n for engine in self.engines]
         self._pending_indices: List[List[int]] = [[] for _ in self.engines]
         self._pending_visits: List[List[float]] = [[] for _ in self.engines]
         self.queries_routed = 0
@@ -135,131 +136,6 @@ class ShardedRouter:
         self.faults = NULL_INJECTOR
         self.robustness = RouterRobustnessState()
 
-    # -------------------------------------------------- robustness views
-    # Back-compat delegation: external code (tests, benches, operators)
-    # historically read these straight off the router.
-
-    @property
-    def supervisors(self):
-        """Per-shard supervisors, or None while robustness is disarmed."""
-        return self.robustness.supervisors
-
-    @supervisors.setter
-    def supervisors(self, value) -> None:
-        self.robustness.supervisors = value
-
-    @property
-    def retry_policy(self) -> RetryPolicy:
-        """OCC retry/backoff policy applied by ``_commit_shard``."""
-        return self.robustness.retry_policy
-
-    @retry_policy.setter
-    def retry_policy(self, value: RetryPolicy) -> None:
-        self.robustness.retry_policy = value
-
-    @property
-    def dead_letters(self) -> DeadLetterQueue:
-        """Feedback batches that exhausted their commit attempts."""
-        return self.robustness.dead_letters
-
-    @dead_letters.setter
-    def dead_letters(self, value: DeadLetterQueue) -> None:
-        self.robustness.dead_letters = value
-
-    @property
-    def occ_conflicts(self) -> int:
-        """Total conflicting commit attempts observed."""
-        return self.robustness.occ_conflicts
-
-    @occ_conflicts.setter
-    def occ_conflicts(self, value: int) -> None:
-        self.robustness.occ_conflicts = value
-
-    @property
-    def occ_retries(self) -> int:
-        """Total backed-off commit retries."""
-        return self.robustness.occ_retries
-
-    @occ_retries.setter
-    def occ_retries(self, value: int) -> None:
-        self.robustness.occ_retries = value
-
-    @property
-    def backoff_seconds(self) -> float:
-        """Total scheduled retry backoff."""
-        return self.robustness.backoff_seconds
-
-    @backoff_seconds.setter
-    def backoff_seconds(self, value: float) -> None:
-        self.robustness.backoff_seconds = value
-
-    @property
-    def _retry_rng(self):
-        return self.robustness.retry_rng
-
-    @_retry_rng.setter
-    def _retry_rng(self, value) -> None:
-        self.robustness.retry_rng = value
-
-    @property
-    def _sleep(self):
-        return self.robustness.sleep
-
-    @_sleep.setter
-    def _sleep(self, value) -> None:
-        self.robustness.sleep = value
-
-    @property
-    def _fault_queries(self) -> int:
-        return self.robustness.fault_queries
-
-    @_fault_queries.setter
-    def _fault_queries(self, value: int) -> None:
-        self.robustness.fault_queries = value
-
-    @classmethod
-    def from_community(
-        cls,
-        community: CommunityConfig,
-        policy: RankPromotionPolicy = RECOMMENDED_POLICY,
-        n_shards: int = 1,
-        *,
-        mode: str = "fluid",
-        cache_capacity: Optional[int] = 128,
-        staleness_budget: int = 0,
-        seed: RandomSource = None,
-    ) -> "ShardedRouter":
-        """Partition ``community`` into ``n_shards`` equal communities.
-
-        .. deprecated:: 1.3
-            Thin shim over :func:`repro.serving.config.build_router`; new
-            code should build a frozen, JSON-round-trippable
-            :class:`~repro.serving.config.ServingConfig` and call
-            ``build_router(config)`` (or ``build_pool(config)`` for the
-            multi-tenant process pool).  This classmethod remains for
-            existing call sites and delegates to the same construction
-            path, so the resulting router is bit-identical.
-
-        Each shard keeps the paper's user/page ratios (via
-        :meth:`CommunityConfig.scaled`) and gets an independent child random
-        stream, so shard behaviour is reproducible regardless of query
-        interleaving.  ``cache_capacity=None`` disables caching.
-        """
-        from repro.serving.config import ServingConfig, build_router
-
-        config = ServingConfig(
-            n_pages=community.n_pages,
-            n_shards=n_shards,
-            mode=mode,
-            policy_rule=policy.rule,
-            policy_k=policy.k,
-            policy_r=policy.r,
-            cache_capacity=cache_capacity,
-            staleness_budget=staleness_budget,
-            seed=seed if isinstance(seed, int) else 0,
-        )
-        return build_router(config, community=community, seed=seed, policy=policy)
-
     # ------------------------------------------------------------------ API
 
     @property
@@ -270,7 +146,7 @@ class ShardedRouter:
     @property
     def n_pages(self) -> int:
         """Total pages across all shards."""
-        return sum(engine.state.n for engine in self.engines)
+        return sum(self._shard_sizes)
 
     def shard_for(self, query_id: Hashable) -> int:
         """Shard index the query is routed to (stable across runs)."""
@@ -351,11 +227,12 @@ class ShardedRouter:
     def _serve_supervised(self, shard: int, k: int) -> np.ndarray:
         """Fault-aware serve: fire due events, degrade/recover as needed."""
         faults = self.faults
-        self._fault_queries += 1
-        query_index = self._fault_queries
+        robustness = self.robustness
+        robustness.fault_queries += 1
+        query_index = robustness.fault_queries
         faults.on_query(query_index)
         status = faults.poll(shard, query_index)
-        supervisor = self.supervisors[shard]
+        supervisor = robustness.supervisors[shard]
         if status == "recover":
             self._recover_shard(shard)
             status = "up"
@@ -378,7 +255,7 @@ class ShardedRouter:
         return page
 
     def _recover_shard(self, shard: int) -> None:
-        elapsed = self.supervisors[shard].recover()
+        elapsed = self.robustness.supervisors[shard].recover()
         self.faults.mark_recovered(shard)
         if self.telemetry.enabled:
             self.telemetry.record_recovery(shard, elapsed)
@@ -386,11 +263,24 @@ class ShardedRouter:
     def submit_feedback(
         self, query_id: Hashable, page_index: int, visits: float = 1.0
     ) -> None:
-        """Buffer one visit-feedback event for the query's shard."""
+        """Buffer one visit-feedback event for the query's shard.
+
+        Raises ``ValueError`` before anything is buffered if ``page_index``
+        is outside the shard or ``visits`` is not a finite non-negative
+        number: a bad event must not poison the whole batch at flush time.
+        """
         shard = self.shard_for(query_id)
         page_index = int(page_index)
+        visits = float(visits)
+        if not 0 <= page_index < self._shard_sizes[shard]:
+            raise ValueError(
+                "page_index %d outside shard %d's [0, %d)"
+                % (page_index, shard, self._shard_sizes[shard])
+            )
+        if not 0.0 <= visits < math.inf:
+            raise ValueError("visits must be finite and >= 0, got %r" % visits)
         self._pending_indices[shard].append(page_index)
-        self._pending_visits[shard].append(float(visits))
+        self._pending_visits[shard].append(visits)
         self.feedback_buffered += 1
         if self.telemetry.enabled:
             state = self.engines[shard].state
@@ -405,9 +295,8 @@ class ShardedRouter:
         """Commit all buffered feedback, one OCC batch commit per shard.
 
         Returns a :class:`~repro.robustness.occ.FlushReport` describing the
-        outcome (committed events, conflicts, retries, dead letters; truthy
-        iff anything committed — legacy ``if router.flush_feedback():``
-        call sites keep working).  Each shard's popularity state advances
+        outcome (committed events, conflicts, retries, dead letters).  Each
+        shard's popularity state advances
         by at most one version per clean flush, which is what the cache
         staleness budget counts against.  Shards that fault injection has
         down are skipped — their buffers keep growing (backpressure) until
@@ -417,7 +306,7 @@ class ShardedRouter:
         faults = self.faults
         for shard, engine in enumerate(self.engines):
             if faults.enabled:
-                if faults.is_down(shard, self._fault_queries):
+                if faults.is_down(shard, self.robustness.fault_queries):
                     continue
                 if faults.needs_recovery(shard):
                     self._recover_shard(shard)
@@ -476,8 +365,10 @@ class ShardedRouter:
         version read and the commit — exactly the window a real concurrent
         writer would hit.
         """
-        supervisor = self.supervisors[shard] if self.supervisors is not None else None
-        policy = self.retry_policy
+        robustness = self.robustness
+        supervisors = robustness.supervisors
+        supervisor = supervisors[shard] if supervisors is not None else None
+        policy = robustness.retry_policy
         faults = self.faults
         conflicts = 0
         while True:
@@ -500,11 +391,11 @@ class ShardedRouter:
                     return int(indices.size)
             conflicts += 1
             report.conflicts += 1
-            self.occ_conflicts += 1
+            robustness.occ_conflicts += 1
             if self.telemetry.enabled:
                 self.telemetry.record_commit_conflict()
             if conflicts >= policy.max_attempts:
-                self.dead_letters.park(
+                robustness.dead_letters.park(
                     DeadLetter(
                         shard=shard,
                         indices=indices,
@@ -518,14 +409,14 @@ class ShardedRouter:
                     self.telemetry.record_dead_letter(int(indices.size))
                 return 0
             report.retries += 1
-            self.occ_retries += 1
-            backoff = policy.backoff_seconds(conflicts, self._retry_rng)
+            robustness.occ_retries += 1
+            backoff = policy.backoff_seconds(conflicts, robustness.retry_rng)
             report.backoff_seconds += backoff
-            self.backoff_seconds += backoff
+            robustness.backoff_seconds += backoff
             if self.telemetry.enabled:
                 self.telemetry.record_commit_retry()
             if backoff > 0.0:
-                self._sleep(backoff)
+                robustness.sleep(backoff)
 
     def redeliver_dead_letters(self) -> FlushReport:
         """Re-commit every parked dead-letter batch through the OCC loop.
@@ -534,7 +425,7 @@ class ShardedRouter:
         batches that conflict out again are parked again.
         """
         report = FlushReport()
-        for letter in self.dead_letters.drain():
+        for letter in self.robustness.dead_letters.drain():
             report.batches += 1
             report.committed += self._commit_shard(
                 letter.shard,
@@ -554,16 +445,17 @@ class ShardedRouter:
         """
         self.flush_feedback()
         faults = self.faults
+        robustness = self.robustness
         for shard, engine in enumerate(self.engines):
             if faults.enabled and (
-                faults.is_down(shard, self._fault_queries)
+                faults.is_down(shard, robustness.fault_queries)
                 or faults.needs_recovery(shard)
             ):
                 continue
             day_before = float(engine.day)
             replaced = engine.advance_day()
-            if self.supervisors is not None:
-                self.supervisors[shard].journal_day(replaced, day_before)
+            if robustness.supervisors is not None:
+                robustness.supervisors[shard].journal_day(replaced, day_before)
 
     def cache_stats(self) -> CacheStats:
         """Aggregate cache counters across shards."""
@@ -581,29 +473,31 @@ class ShardedRouter:
 
     def stats(self) -> Dict[str, float]:
         """Routing and cache counters as one flat dictionary."""
+        robustness = self.robustness
         report = {
             "n_shards": float(self.n_shards),
             "n_pages": float(self.n_pages),
             "queries_routed": float(self.queries_routed),
             "feedback_buffered": float(self.feedback_buffered),
             "flushes": float(self.flushes),
-            "occ_conflicts": float(self.occ_conflicts),
-            "occ_retries": float(self.occ_retries),
-            "occ_backoff_seconds": float(self.backoff_seconds),
-            "dead_letter_batches": float(self.dead_letters.total_batches),
-            "dead_letter_events": float(self.dead_letters.total_events),
+            "occ_conflicts": float(robustness.occ_conflicts),
+            "occ_retries": float(robustness.occ_retries),
+            "occ_backoff_seconds": float(robustness.backoff_seconds),
+            "dead_letter_batches": float(robustness.dead_letters.total_batches),
+            "dead_letter_events": float(robustness.dead_letters.total_events),
         }
         for shard, count in enumerate(self.queries_per_shard):
             report["queries_shard_%d" % shard] = float(count)
-        if self.supervisors is not None:
+        supervisors = robustness.supervisors
+        if supervisors is not None:
             totals: Dict[str, float] = {}
-            for supervisor in self.supervisors:
+            for supervisor in supervisors:
                 for name, value in supervisor.counters().items():
                     totals[name] = totals.get(name, 0.0) + value
             # All-shards bit-identity is the AND, not the sum.
             totals["recovered_bit_identical"] = min(
                 supervisor.counters()["recovered_bit_identical"]
-                for supervisor in self.supervisors
+                for supervisor in supervisors
             )
             report.update(totals)
         if self.faults.enabled:

@@ -62,6 +62,7 @@ from repro.core.batch_rank import (
 from repro.core.kernels import get_backend
 from repro.core.policy import VALID_RULES, RankPromotionPolicy
 from repro.serving.cache import page_key
+from repro.serving.config import ServingConfig, build_router
 from repro.serving.engine import ServingEngine
 from repro.serving.router import ShardedRouter, stable_shard_hash
 from repro.serving.workload import RecordedTrace, StreamingWorkload, WorkloadConfig, record_trace
@@ -230,15 +231,17 @@ def build_variant_router(
     engine seeds and the optional warm steady-state awareness profile are
     identical — the precondition for bit-identical replays.
     """
-    router = ShardedRouter.from_community(
-        community,
-        variant.policy(),
+    config = ServingConfig(
+        n_pages=community.n_pages,
         n_shards=variant.n_shards,
         mode=variant.mode,
+        policy_rule=variant.rule,
+        policy_k=variant.promote_k,
+        policy_r=variant.r,
         cache_capacity=variant.effective_cache_capacity,
         staleness_budget=variant.staleness_budget,
-        seed=seed,
     )
+    router = build_router(config, community=community, seed=seed)
     if warm_awareness:
         from repro.serving.bench import seed_steady_state_awareness
 

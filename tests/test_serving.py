@@ -19,10 +19,11 @@ from repro.core.policy import (
 from repro.serving import (
     PopularityState,
     ResultPageCache,
+    ServingConfig,
     ServingEngine,
-    ShardedRouter,
     StreamingWorkload,
     WorkloadConfig,
+    build_router,
     run_stream,
 )
 from repro.serving.router import stable_shard_hash
@@ -295,10 +296,14 @@ def test_engine_serves_from_cache_until_feedback(serving_community):
 # ----------------------------------------------------------------- router
 
 
+def make_router(community, **fields):
+    """``build_router`` over a test community with custom user/page ratios."""
+    config = ServingConfig(n_pages=community.n_pages, **fields)
+    return build_router(config, community=community)
+
+
 def test_router_stable_hashing(serving_community):
-    router = ShardedRouter.from_community(
-        serving_community, RECOMMENDED_POLICY, n_shards=4, seed=0
-    )
+    router = make_router(serving_community, n_shards=4, seed=0)
     for query in ("q1", "q2", 42, ("tuple", 3)):
         assert router.shard_for(query) == router.shard_for(query)
     assert stable_shard_hash("q1") == stable_shard_hash("q1")
@@ -308,30 +313,22 @@ def test_router_stable_hashing(serving_community):
 
 def test_router_shard_sizes_sum_to_requested_pages(serving_community):
     """Non-divisible page counts are spread over shards, never dropped."""
-    router = ShardedRouter.from_community(
-        serving_community, RECOMMENDED_POLICY, n_shards=3, seed=0
-    )
+    router = make_router(serving_community, n_shards=3, seed=0)
     assert router.n_pages == serving_community.n_pages
     sizes = [engine.state.n for engine in router.engines]
     assert max(sizes) - min(sizes) <= 1
     with pytest.raises(ValueError):
-        ShardedRouter.from_community(
-            serving_community, RECOMMENDED_POLICY,
-            n_shards=serving_community.n_pages + 1,
-        )
+        make_router(serving_community, n_shards=serving_community.n_pages + 1)
 
 
 def test_router_feedback_batched_until_flush(serving_community):
-    router = ShardedRouter.from_community(
-        serving_community, RECOMMENDED_POLICY, n_shards=2, cache_capacity=None, seed=1
-    )
+    router = make_router(serving_community, n_shards=2, cache_capacity=None, seed=1)
     before = [engine.state.version for engine in router.engines]
     page = router.serve("hot-query", 5)
     router.submit_feedback("hot-query", int(page[0]))
     router.submit_feedback("hot-query", int(page[1]))
     assert [e.state.version for e in router.engines] == before  # buffered only
     report = router.flush_feedback()
-    assert report  # truthy: something committed
     assert report.committed == 2
     assert report.batches == 1
     assert report.conflicts == report.retries == report.dead_letter_events == 0
@@ -340,22 +337,30 @@ def test_router_feedback_batched_until_flush(serving_community):
     assert router.engines[shard].state.version == before[shard] + 1
 
 
-def test_router_from_community_validates_serving_knobs(serving_community):
-    """Bad cache/staleness knobs fail at construction, not mid-serve."""
+@pytest.mark.parametrize(
+    "page_index, visits",
+    [(-1, 1.0), ("shard_size", 1.0), (0, -50.0), (0, float("nan")), (0, float("inf"))],
+)
+def test_router_rejects_invalid_feedback_at_submit(serving_community, page_index, visits):
+    """A bad event raises at submit; it never reaches (or loses) a batch."""
+    router = make_router(serving_community, n_shards=2, cache_capacity=None, seed=1)
+    shard = router.shard_for("q")
+    if page_index == "shard_size":
+        page_index = router.engines[shard].state.n
+    version = router.engines[shard].state.version
+    router.submit_feedback("q", 3)
+    buffered = router.feedback_buffered
+    pending = [list(indices) for indices in router._pending_indices]
     with pytest.raises(ValueError):
-        ShardedRouter.from_community(
-            serving_community, RECOMMENDED_POLICY, cache_capacity=0
-        )
-    with pytest.raises(ValueError):
-        ShardedRouter.from_community(
-            serving_community, RECOMMENDED_POLICY, staleness_budget=-1
-        )
+        router.submit_feedback("q", page_index, visits)
+    assert router.feedback_buffered == buffered
+    assert router._pending_indices == pending
+    assert router.flush_feedback().committed == 1
+    assert router.engines[shard].state.version == version + 1
 
 
 def test_router_advance_day_flushes_and_ages(serving_community):
-    router = ShardedRouter.from_community(
-        serving_community, RECOMMENDED_POLICY, n_shards=2, seed=2
-    )
+    router = make_router(serving_community, n_shards=2, seed=2)
     page = router.serve("q", 3)
     router.submit_feedback("q", int(page[0]))
     router.advance_day()
@@ -382,9 +387,7 @@ def test_workload_zipf_skew_and_determinism():
 
 
 def test_run_stream_rejects_conflicting_seed_and_workload(serving_community):
-    router = ShardedRouter.from_community(
-        serving_community, RECOMMENDED_POLICY, n_shards=1, seed=0
-    )
+    router = make_router(serving_community, n_shards=1, seed=0)
     with pytest.raises(ValueError):
         run_stream(router, 10, workload=StreamingWorkload(seed=1), seed=2)
     with pytest.raises(ValueError):
@@ -392,13 +395,8 @@ def test_run_stream_rejects_conflicting_seed_and_workload(serving_community):
 
 
 def test_run_stream_end_to_end(serving_community):
-    router = ShardedRouter.from_community(
-        serving_community,
-        RECOMMENDED_POLICY,
-        n_shards=2,
-        cache_capacity=8,
-        staleness_budget=1,
-        seed=3,
+    router = make_router(
+        serving_community, n_shards=2, cache_capacity=8, staleness_budget=1, seed=3
     )
     workload = StreamingWorkload(
         WorkloadConfig(n_distinct_queries=40, k=5, feedback_rate=0.5, flush_every=16),

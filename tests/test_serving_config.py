@@ -1,17 +1,26 @@
 """Tests for the unified ServingConfig construction surface."""
 
+import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.cli import build_parser, serving_config_from_args
-from repro.community.config import DEFAULT_COMMUNITY
-from repro.core.policy import RECOMMENDED_POLICY, RankPromotionPolicy
+from repro.community.config import DEFAULT_COMMUNITY, CommunityConfig
+from repro.core.policy import RankPromotionPolicy
+from repro.robustness import FaultEvent, FaultPlan, chaos
 from repro.robustness.occ import RetryPolicy
 from repro.serving.config import ServingConfig, build_router
-from repro.serving.router import ShardedRouter
-from repro.serving.workload import StreamingWorkload, run_stream
+from repro.serving.sweep import SweepVariant, build_variant_router, variant_seed
+from repro.serving.workload import (
+    StreamingWorkload,
+    WorkloadConfig,
+    record_trace,
+)
+from repro.simulation.replay import replay_trace
 
 
 class TestServingConfig:
@@ -76,55 +85,129 @@ class TestServingConfig:
             ServingConfig(**{field: value})
 
 
-class TestBuildRouter:
-    def test_matches_from_community_bit_for_bit(self):
-        community = DEFAULT_COMMUNITY.scaled(600)
-        config = ServingConfig(
-            n_pages=600, n_shards=3, cache_capacity=16, staleness_budget=2, seed=5
-        )
-        via_config = build_router(config)
-        via_shim = ShardedRouter.from_community(
-            community,
-            RECOMMENDED_POLICY,
-            n_shards=3,
-            cache_capacity=16,
-            staleness_budget=2,
-            seed=5,
-        )
-        for new_engine, old_engine in zip(via_config.engines, via_shim.engines, strict=True):
-            assert np.array_equal(new_engine.state.quality, old_engine.state.quality)
-        stats_config = run_stream(
-            via_config, 300, workload=StreamingWorkload(seed=11)
-        )
-        stats_shim = run_stream(via_shim, 300, workload=StreamingWorkload(seed=11))
-        assert stats_config.feedback_events == stats_shim.feedback_events
-        for new_engine, old_engine in zip(via_config.engines, via_shim.engines, strict=True):
-            assert np.array_equal(
-                new_engine.state.pool.aware_count, old_engine.state.pool.aware_count
+def construction_digest(router):
+    """sha256 over each shard's qualities plus a 300-query trace replay.
+
+    Pins every construction stream (shard partition, per-shard child
+    generators, policy) and the serving streams they feed.
+    """
+    digest = hashlib.sha256()
+    for engine in router.engines:
+        digest.update(engine.state.quality.tobytes())
+    workload = StreamingWorkload(
+        WorkloadConfig(
+            n_distinct_queries=60, k=10, feedback_rate=0.4, flush_every=16
+        ),
+        seed=5,
+    )
+    result = replay_trace(router, record_trace(workload, 300, day_every=100), 10)
+    digest.update(
+        repr(
+            (
+                result.queries,
+                result.feedback_events,
+                result.pages_crc,
+                result.clicked_crc,
+                result.clicked_quality_sum,
+                sorted(result.stats.items()),
+                result.final_versions,
             )
-            assert new_engine.state.version == old_engine.state.version
+        ).encode("utf-8")
+    )
+    for awareness in result.final_awareness:
+        digest.update(awareness.tobytes())
+    return digest.hexdigest()
 
-    def test_shim_keeps_policy_identity(self):
-        policy = RankPromotionPolicy("uniform", 2, 0.3)
-        router = ShardedRouter.from_community(
-            DEFAULT_COMMUNITY.scaled(200), policy, n_shards=2, seed=0
-        )
-        assert all(engine.policy is policy for engine in router.engines)
 
-    def test_shim_accepts_seed_sequence(self):
-        seq = np.random.SeedSequence(7)
-        router = ShardedRouter.from_community(
-            DEFAULT_COMMUNITY.scaled(200), RECOMMENDED_POLICY, n_shards=2, seed=seq
+class _Built(Exception):
+    def __init__(self, router):
+        super().__init__("router built")
+        self.router = router
+
+
+def chaos_router(monkeypatch):
+    """The warmed router ``run_chaos_benchmark`` builds at smoke size."""
+    warm = chaos.seed_steady_state_awareness
+
+    def capture(router, **kwargs):
+        warm(router, **kwargs)
+        raise _Built(router)
+
+    monkeypatch.setattr(chaos, "seed_steady_state_awareness", capture)
+    with pytest.raises(_Built) as built:
+        chaos.run_chaos_benchmark(
+            n_pages=2_000,
+            n_queries=640,
+            n_shards=2,
+            flush_every=64,
+            mode="stochastic",
+            policy=RankPromotionPolicy("uniform", 2, 0.2),
+            seed=3,
         )
-        assert router.n_shards == 2
+    return built.value.router
+
+
+def sweep_variant_router(monkeypatch):
+    community = CommunityConfig(
+        n_pages=300,
+        n_users=60,
+        monitored_fraction=0.3,
+        visits_per_user_per_day=1.0,
+        expected_lifetime_days=40.0,
+    )
+    variant = SweepVariant(
+        k=10,
+        rule="uniform",
+        cache_capacity=8,
+        staleness_budget=2,
+        n_shards=3,
+        mode="stochastic",
+    )
+    return build_variant_router(community, variant, variant_seed(11, 2))
+
+
+class TestBuildRouter:
+    # Recorded before these construction sites moved to ``build_router``;
+    # the move must keep every construction and serving stream.
+    PINNED = {
+        "sweep-variant": (
+            "be8d130462bf33caa98bc333324386c9f472de8e142152139bae4041a92bf208"
+        ),
+        "chaos": "6261246db3108257aad2876756b06b63f08152185fa04b23f19e900fd4cc9b4d",
+    }
+
+    @pytest.mark.parametrize(
+        "name, build",
+        [("sweep-variant", sweep_variant_router), ("chaos", chaos_router)],
+        ids=["sweep-variant", "chaos"],
+    )
+    def test_construction_streams_pinned(self, monkeypatch, name, build):
+        assert construction_digest(build(monkeypatch)) == self.PINNED[name]
+
+    def test_policy_fields_reach_every_engine(self):
+        config = ServingConfig(
+            n_pages=200, n_shards=2, policy_rule="uniform", policy_k=2, policy_r=0.3
+        )
+        router = build_router(config)
+        expected = RankPromotionPolicy("uniform", 2, 0.3)
+        assert all(engine.policy == expected for engine in router.engines)
+
+    def test_seed_override_accepts_seed_sequence(self):
+        config = ServingConfig(n_pages=200, n_shards=2, seed=0)
+        first = build_router(config, seed=np.random.SeedSequence(7))
+        again = build_router(config, seed=np.random.SeedSequence(7))
+        default = build_router(config)
+        for a, b, c in zip(first.engines, again.engines, default.engines, strict=True):
+            assert np.array_equal(a.state.quality, b.state.quality)
+            assert not np.array_equal(a.state.quality, c.state.quality)
 
     def test_retry_policy_lands_on_router(self):
         config = ServingConfig(
             n_pages=100, n_shards=1, max_attempts=2, backoff_base=1e-3
         )
         router = build_router(config)
-        assert router.retry_policy.max_attempts == 2
-        assert router.retry_policy.base_backoff_seconds == 1e-3
+        assert router.robustness.retry_policy.max_attempts == 2
+        assert router.robustness.retry_policy.base_backoff_seconds == 1e-3
 
     def test_telemetry_attaches(self):
         from repro.telemetry import TelemetryRecorder
@@ -146,24 +229,42 @@ class TestBuildRouter:
             build_router(config, community=DEFAULT_COMMUNITY.scaled(200))
 
 
+def test_readme_serving_quickstart_runs_verbatim():
+    """The README's only construction example must keep running as written."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(
+        r"^Online \(the serving path\).*?^```python\n(.*?)^```$",
+        readme,
+        re.DOTALL | re.MULTILINE,
+    )
+    assert block is not None, "README lost its serving quickstart block"
+    exec(compile(block.group(1), "README.md", "exec"), {})
+
+
 class TestRouterRobustnessState:
-    def test_created_in_one_place_and_delegated(self):
+    def test_conflict_lands_in_state_and_stats(self):
         router = build_router(ServingConfig(n_pages=400, n_shards=2))
-        assert router.supervisors is None
-        assert router.occ_conflicts == 0
-        assert router.retry_policy is router.robustness.retry_policy
-        assert router.dead_letters is router.robustness.dead_letters
-        router.occ_conflicts = 3
-        assert router.robustness.occ_conflicts == 3
+        assert router.robustness.occ_conflicts == 0
+        query = next(q for q in range(1_000) if router.shard_for(q) == 0)
+        plan = FaultPlan(
+            events=(FaultEvent(kind="conflict", at_query=1, shard=0, count=1),)
+        )
+        router.enable_robustness(plan, seed=0, sleep=lambda seconds: None)
+        router.serve(query, k=5)
+        router.submit_feedback(query, page_index=3)
+        assert router.flush_feedback().conflicts == 1
+        assert router.robustness.occ_conflicts == 1
+        assert router.stats()["occ_conflicts"] == 1.0
 
     def test_enable_disable_round_trip(self):
         router = build_router(ServingConfig(n_pages=400, n_shards=2))
         retry = RetryPolicy(max_attempts=2)
         router.enable_robustness(retry=retry, seed=1)
-        assert router.retry_policy is retry
-        assert router.supervisors is not None and len(router.supervisors) == 2
+        assert router.robustness.retry_policy is retry
+        supervisors = router.robustness.supervisors
+        assert supervisors is not None and len(supervisors) == 2
         router.disable_robustness()
-        assert router.supervisors is None
+        assert router.robustness.supervisors is None
 
 
 class TestCliServingConfig:

@@ -37,12 +37,12 @@ from repro.serving.bench import (
     seed_steady_state_awareness,
 )
 from repro.serving.cache import CacheStats, ResultPageCache
+from repro.serving.config import ServingConfig, build_router
 from repro.serving.figures import (
     load_telemetry_rows,
     sweep_tradeoff_figures,
     telemetry_series_figure,
 )
-from repro.serving.router import ShardedRouter
 from repro.serving.sweep import SweepVariant, run_sweep, variant_grid
 from repro.serving.workload import (
     StreamingWorkload,
@@ -269,9 +269,7 @@ class TestNullRecorder:
         recorder.close()
 
     def test_components_default_to_null(self):
-        router = ShardedRouter.from_community(
-            DEFAULT_COMMUNITY.scaled(200), RECOMMENDED_POLICY, n_shards=2, seed=0
-        )
+        router = build_router(ServingConfig(n_pages=200, n_shards=2, seed=0))
         assert router.telemetry is NULL_RECORDER
         for engine in router.engines:
             assert engine.telemetry is NULL_RECORDER
@@ -355,13 +353,10 @@ class TestTelemetryRecorder:
 
 
 def _serving_run(n_queries, recorder=None, seed=7):
-    router = ShardedRouter.from_community(
-        DEFAULT_COMMUNITY.scaled(600),
-        RECOMMENDED_POLICY,
-        n_shards=2,
-        cache_capacity=32,
-        staleness_budget=2,
-        seed=seed,
+    router = build_router(
+        ServingConfig(
+            n_pages=600, n_shards=2, cache_capacity=32, staleness_budget=2, seed=seed
+        )
     )
     seed_steady_state_awareness(router, rng=derive_seed(seed, "warm"))
     workload = StreamingWorkload(
