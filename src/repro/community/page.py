@@ -304,12 +304,15 @@ def awareness_gain_batch(
     aware_count = np.asarray(aware_count, dtype=float)
     monitored_visits = np.asarray(monitored_visits, dtype=float)
     m = monitored_population
+    base = 1.0 - 1.0 / m
     unaware = m - aware_count
-    p_new = (1.0 - 1.0 / m) ** monitored_visits
-    np.subtract(1.0, p_new, out=p_new)
     if mode == "fluid":
+        p_new = base ** monitored_visits
+        np.subtract(1.0, p_new, out=p_new)
         np.multiply(unaware, p_new, out=p_new)
         return p_new
+    # Stochastic: only the candidate pages are read, so the power runs on
+    # each row's candidates alone (the same ufuncs on the same values).
     gained = np.zeros_like(aware_count)
     visited = monitored_visits > 0
     candidates = visited & (unaware > 0)
@@ -318,8 +321,9 @@ def awareness_gain_batch(
             continue
         idx = np.flatnonzero(candidates[row])
         if idx.size:
+            p_new = 1.0 - base ** monitored_visits[row, idx]
             gained[row, idx] = as_rng(rngs[row]).binomial(
-                unaware[row, idx].astype(int), p_new[row, idx]
+                unaware[row, idx].astype(int), p_new
             )
     return gained
 

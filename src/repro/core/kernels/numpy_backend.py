@@ -99,6 +99,16 @@ class NumpyKernelBackend(KernelBackend):
         by page index ascending (``index``); remaining ties fall back to
         page index, matching ``np.lexsort`` stability in the sequential
         path.
+
+        A ``random`` run is ordered by the default (unstable, SIMD)
+        argsort of its tie keys.  When no two sorted keys are equal the
+        order by key is unique, so any sort — stable or not, whatever
+        order the members arrived in — yields the same permutation as the
+        stable one, bit for bit.  Only a run with a tie-key collision
+        (probability about ``n**2 / 2**54`` per row) takes the stable
+        lines: members sorted by page index, then a stable argsort.
+        ``age`` and ``index`` runs always take those lines: equal ages are
+        common, and the index order is the sorted members themselves.
         """
         equal_next = sorted_keys[:, 1:] == sorted_keys[:, :-1]
         for row in np.flatnonzero(equal_next.any(axis=1)):
@@ -109,6 +119,14 @@ class NumpyKernelBackend(KernelBackend):
             run_ends = np.concatenate((breaks, [pairs.size - 1]))
             for lo, hi in zip(run_starts, run_ends, strict=True):
                 a, b = pairs[lo], pairs[hi] + 2  # run spans positions a..b-1
+                if tie_breaker == "random":
+                    members = perm[row, a:b]
+                    keys = tie_keys[row, members]
+                    order = np.argsort(keys)
+                    keys = keys[order]
+                    if not (keys[1:] == keys[:-1]).any():
+                        perm[row, a:b] = members[order]
+                        continue
                 members = np.sort(perm[row, a:b])
                 if tie_breaker == "random":
                     members = members[

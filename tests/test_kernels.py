@@ -327,6 +327,73 @@ def _fluid_day(rng, R, n, scale=1e-4):
     return np.tile(base, (R, 1)) * (1.0 + rng.normal(0.0, scale, (R, n)))
 
 
+def _zero_mass_day(rng, R, n):
+    """The stochastic steady state: ~97% zero scores, tied low nonzero ones.
+
+    Measured at 32x10k: ~310 nonzero scores over ~147 distinct values per
+    row, the ties falling on the lowest awareness levels (runs of 67, 41,
+    20, ... pages) and the rest unique — one giant zero run plus a dozen
+    smaller runs.
+    """
+    scores = np.zeros((R, n))
+    n_nonzero = round(0.031 * n)
+    n_levels = round(0.55 * n_nonzero)
+    for row in range(R):
+        pages = rng.choice(n, size=n_nonzero, replace=False)
+        scores[row, pages[:n_levels]] = 1e-6 * rng.geometric(0.3, n_levels)
+        scores[row, pages[n_levels:]] = rng.random(n_nonzero - n_levels)
+    return scores
+
+
+class _GridGenerator:
+    """A generator stand-in whose uniforms sit on a coarse ``1/grid`` grid.
+
+    Real ``random()`` draws practically never repeat, so only keys like
+    these reach the tie-key collision lines of the tie-run repair.  Both
+    call shapes of the ranking paths work: ``random(n)`` (the sequential
+    oracle) and ``random(out=...)`` (``rank_day``).
+    """
+
+    def __init__(self, seed, grid):
+        self._rng = np.random.default_rng(seed)
+        self._grid = grid
+
+    def random(self, size=None, out=None):
+        shape = size if out is None else out.shape
+        keys = self._rng.integers(0, self._grid, size=shape) / self._grid
+        if out is None:
+            return keys
+        out[...] = keys
+        return out
+
+
+def _grid_rngs(seed, R, grid):
+    return [_GridGenerator((seed, row), grid) for row in range(R)]
+
+
+def _small_integer_scores(seed, R, n):
+    """Scores on {0, 1, 2, 3}: every row is a handful of long tie runs."""
+    return np.random.default_rng(seed).integers(0, 4, (R, n)).astype(float)
+
+
+def _assert_rank_day_matches_oracle(scores, ages, tie_breaker, make_rngs):
+    """``rank_day`` equals ``_deterministic_order`` row by row.
+
+    ``make_rngs`` returns fresh per-row generators; each side gets its
+    own set so both draw the same tie keys.
+    """
+    from repro.core.rankers import _deterministic_order
+
+    perm = get_backend().rank_day(scores, ages, tie_breaker, make_rngs())
+    rngs = make_rngs()
+    for row in range(scores.shape[0]):
+        expected = _deterministic_order(
+            scores[row], None if ages is None else ages[row],
+            tie_breaker, rngs[row],
+        )
+        np.testing.assert_array_equal(perm[row], expected)
+
+
 class TestRankDay:
     """The single full-sort ``rank_day`` path against the sequential oracle."""
 
@@ -341,8 +408,6 @@ class TestRankDay:
     def test_matches_sequential_oracle_on_drifted_days(
         self, seed, n, moved, fluid, tie_breaker
     ):
-        from repro.core.rankers import _deterministic_order
-
         rng = np.random.default_rng(seed)
         R = 3
         if fluid:
@@ -350,14 +415,44 @@ class TestRankDay:
         else:
             scores = _drifted_day(rng, R, n, moved)
         ages = np.floor(rng.random((R, n)) * 4) if tie_breaker == "age" else None
-        perm = get_backend().rank_day(scores, ages, tie_breaker, spawn_rngs(seed, R))
-        rngs = spawn_rngs(seed, R)
-        for row in range(R):
-            expected = _deterministic_order(
-                scores[row], None if ages is None else ages[row],
-                tie_breaker, rngs[row],
-            )
-            np.testing.assert_array_equal(perm[row], expected)
+        _assert_rank_day_matches_oracle(
+            scores, ages, tie_breaker, lambda: spawn_rngs(seed, R)
+        )
+
+    @pytest.mark.parametrize("grid", [2, 8, 64, 2**20])
+    def test_matches_sequential_oracle_on_colliding_tie_keys(self, grid):
+        """Tie-key collisions take the stable lines and stay exact.
+
+        The coarse grids put equal tie keys inside most runs; the finest
+        grid leaves every run collision-free, so both branches of the
+        ``random`` repair run against the oracle.
+        """
+        R, n = 8, 60
+        scores = _small_integer_scores(grid, R, n)
+        keys = np.stack([g.random(n) for g in _grid_rngs(grid, R, grid)])
+        collisions = sum(
+            np.unique(keys[row, scores[row] == value]).size
+            < np.count_nonzero(scores[row] == value)
+            for row in range(R)
+            for value in np.unique(scores[row])
+        )
+        assert collisions > 0 if grid < 2**20 else collisions == 0
+        _assert_rank_day_matches_oracle(
+            scores, None, "random", lambda: _grid_rngs(grid, R, grid)
+        )
+
+    @pytest.mark.parametrize("tie_breaker", ["random", "age", "index"])
+    def test_matches_sequential_oracle_at_stochastic_steady_state(
+        self, tie_breaker
+    ):
+        """One ~9.7k-page zero run plus a dozen smaller runs, at the real n."""
+        R, n = 4, 10_000
+        rng = np.random.default_rng(97)
+        scores = _zero_mass_day(rng, R, n)
+        ages = np.floor(rng.random((R, n)) * 4) if tie_breaker == "age" else None
+        _assert_rank_day_matches_oracle(
+            scores, ages, tie_breaker, lambda: spawn_rngs(3, R)
+        )
 
     def test_counts_every_ranked_row_as_full_route(self):
         """``ROUTE_STATS.full`` moves by ``R`` per call; no other route does."""
@@ -595,6 +690,14 @@ def test_numba_algorithm_parity_with_stubbed_njit(monkeypatch):
                         scores, ages, tie_breaker, spawn_rngs(R, R)
                     ),
                 )
+            # Colliding tie keys: the numpy repair's stable lines.
+            colliding = _small_integer_scores(R, R, n)
+            np.testing.assert_array_equal(
+                backend.rank_day(colliding, None, "random", _grid_rngs(R, R, 4)),
+                NUMPY_BACKEND.rank_day(
+                    colliding, None, "random", _grid_rngs(R, R, 4)
+                ),
+            )
 
             perms = NUMPY_BACKEND.rank_day(scores, None, "index", spawn_rngs(0, R))
             mask = rng.random((R, n)) < 0.3
