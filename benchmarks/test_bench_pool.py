@@ -14,6 +14,7 @@ a genuine inter-process commit race (no fault injection involved).
 
 import pytest
 
+from repro.serving.config import ServingConfig
 from repro.serving.pool import run_pool_benchmark
 from repro.serving.state import shared_memory_available
 
@@ -30,16 +31,18 @@ def test_bench_pool_scaling(benchmark, bench_seed):
         benchmark,
         run_pool_benchmark,
         POOL_INFO_KEYS,
-        n_pages=2_000,
-        n_shards=2,
-        tenants=2,
-        workers=2,
-        clients=2,
+        config=ServingConfig(
+            n_pages=2_000,
+            n_shards=2,
+            tenants=2,
+            workers=2,
+            clients=2,
+            seed=bench_seed,
+        ),
         n_queries=2_000,
         batches_per_tenant=4,
         client_rounds=6,
         client_batch=16,
-        seed=bench_seed,
     )
     # Zero lost visits: worker + client accounting closes, and the shared
     # headers agree with the writers' own commit counts.

@@ -44,7 +44,7 @@ arrays live in shared memory, so real concurrent writers race feedback
 commits through the OCC path.  Or from the terminal::
 
     python -m repro serve-bench --pages 200000 --queries 5000 --shards 8
-    python -m repro serve-bench --tenants 8 --clients 4 --workers 4
+    python -m repro pool-bench --tenants 8 --clients 4 --workers 4
 """
 
 from repro.community import (

@@ -20,7 +20,7 @@ simulated day, this package answers a *stream of queries*:
 * :class:`StreamingWorkload` / :func:`run_stream` — Zipf-skewed query
   traffic with click feedback for end-to-end driving;
 * :func:`run_serving_benchmark` / :func:`run_pool_benchmark` — the
-  ``serve-bench`` drivers (in-process and pool modes).
+  ``serve-bench`` (in-process) and ``pool-bench`` drivers.
 
 The exact offline semantics stay reachable through
 :func:`repro.simulation.replay.replay_day`, which replays a simulator day

@@ -17,7 +17,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.community.config import CommunityConfig
-from repro.core.kernels import get_backend, use_backend
+from repro.core.kernels import get_backend
 from repro.core.policy import RECOMMENDED_POLICY, RankPromotionPolicy
 from repro.core.rankers_context import RankingContext
 from repro.serving.config import ServingConfig, build_router
@@ -90,7 +90,6 @@ def run_serving_benchmark(
     policy: RankPromotionPolicy = RECOMMENDED_POLICY,
     baseline_queries: int = 10,
     seed: int = 0,
-    backend: Optional[str] = None,
     telemetry_window: Optional[int] = None,
     telemetry_out: Optional[str] = None,
 ) -> Dict[str, float]:
@@ -99,8 +98,8 @@ def run_serving_benchmark(
     Returns a flat metrics dictionary: throughput (``queries_per_second``,
     plus per-shard ``qps_shard_<i>``), ``cache_hit_rate``, per-query
     latencies for both paths, and ``speedup_vs_full_rank``;
-    ``kernel_backend`` names the kernel backend that ran (``backend=None``
-    keeps the process default).
+    ``kernel_backend`` names the kernel backend that ran (the process
+    default; pin it with :func:`repro.core.kernels.use_backend`).
 
     ``telemetry_window`` (an event count) enables streaming telemetry for
     the run: windowed metric rows go to the ``telemetry_out`` JSONL path
@@ -108,16 +107,6 @@ def run_serving_benchmark(
     timing spans — is folded into the report under ``telemetry_*`` keys.
     Both default off; the timed stream then runs with the null recorder.
     """
-    if backend is not None:
-        with use_backend(backend):
-            return run_serving_benchmark(
-                n_pages=n_pages, n_queries=n_queries, k=k, n_shards=n_shards,
-                cache_capacity=cache_capacity, staleness_budget=staleness_budget,
-                feedback_rate=feedback_rate, zipf_exponent=zipf_exponent,
-                flush_every=flush_every, policy=policy,
-                baseline_queries=baseline_queries, seed=seed,
-                telemetry_window=telemetry_window, telemetry_out=telemetry_out,
-            )
     kernels = get_backend()
     kernels.warmup()  # JIT backends compile outside the timed regions
     config = ServingConfig(

@@ -2,7 +2,7 @@
 
 :class:`ServingConfig` is a frozen, JSON-round-trippable dataclass
 carrying every serving knob (community size, sharding, policy, cache,
-OCC retry, tenancy, telemetry).  Being data, one config can be validated
+OCC retry, tenancy).  Being data, one config can be validated
 once in the parent and shipped verbatim to every pool worker process.
 :func:`build_router` and :func:`build_pool` are the two entry points that
 turn it into a running service; every router — the benches, the chaos
@@ -63,9 +63,6 @@ class ServingConfig:
     # OCC write path.
     max_attempts: int = 4
     backoff_base: float = 1e-4
-    # Telemetry.
-    telemetry_window: Optional[int] = None
-    telemetry_out: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.n_pages < 1:

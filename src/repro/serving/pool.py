@@ -24,7 +24,7 @@ outruns a worker observes backpressure (counted, then blocking) instead
 of unbounded queue growth; :meth:`ServingPool.ensure_alive` restarts
 crashed workers, whose shard state survives in shared memory.
 
-``serve-bench --tenants T --clients C --workers W`` drives
+``pool-bench --tenants T --clients C --workers W`` drives
 :func:`run_pool_benchmark`, which reports the aggregate-QPS scaling
 ratio, the organic-conflict and zero-lost-visits invariants, and the
 saturation/backpressure check that CI gates.
@@ -579,31 +579,20 @@ class ServingPool:
 
 
 def run_pool_benchmark(
-    n_pages: int = 2_000,
-    n_shards: int = 2,
-    tenants: int = 2,
-    workers: int = 2,
-    clients: int = 2,
+    config: ServingConfig,
     n_queries: int = 2_000,
     batches_per_tenant: int = 4,
     client_rounds: int = 6,
     client_batch: int = 16,
-    seed: int = 0,
-    mode: str = "fluid",
-    cache_capacity: Optional[int] = 64,
-    staleness_budget: int = 4,
-    inbox_capacity: int = 8,
-    max_attempts: int = 4,
     telemetry=None,
-    config: Optional[ServingConfig] = None,
 ) -> Dict[str, float]:
     """Measure aggregate-QPS scaling and the pool's OCC invariants.
 
     Three phases over identical per-tenant workloads:
 
     1. *reference* — the same tenants behind a single worker;
-    2. *pool* — ``workers`` worker processes plus ``clients`` concurrent
-       OCC writer processes hammering tenant 0's shards;
+    2. *pool* — ``config.workers`` worker processes plus ``config.clients``
+       concurrent OCC writer processes hammering tenant 0's shards;
     3. *saturation* — a burst of submissions against a deliberately tiny
        inbox, asserting backpressure engages (bounded queues block, they
        do not grow).
@@ -618,20 +607,6 @@ def run_pool_benchmark(
     ``pool_organic_conflict`` is 1.0 iff the shared headers saw a real
     racing commit rejected.
     """
-    if config is None:
-        config = ServingConfig(
-            n_pages=n_pages,
-            n_shards=n_shards,
-            mode=mode,
-            cache_capacity=cache_capacity,
-            staleness_budget=staleness_budget,
-            seed=seed,
-            tenants=tenants,
-            workers=workers,
-            clients=clients,
-            inbox_capacity=inbox_capacity,
-            max_attempts=max_attempts,
-        )
     per_batch = max(1, int(n_queries) // max(1, batches_per_tenant))
 
     def drive(pool: ServingPool) -> float:

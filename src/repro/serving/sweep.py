@@ -1212,7 +1212,6 @@ def run_sweep_benchmark(
     warm_awareness: bool = True,
     check_parity: bool = True,
     sweep_repetitions: int = 3,
-    backend: Optional[str] = None,
     telemetry_window: Optional[int] = None,
     telemetry_out: Optional[str] = None,
 ) -> Dict[str, float]:
@@ -1232,26 +1231,13 @@ def run_sweep_benchmark(
     a load spike or GC pause on a shared CI runner then hits both sides of
     the ratio alike instead of flaking it.
 
-    ``backend`` pins a kernel backend for this run (``None`` keeps the
-    process default); the report's ``kernel_backend`` entry names the one
-    that actually ran, tagging the benchmark JSON for the regression gate.
+    The report's ``kernel_backend`` entry names the process-default kernel
+    backend that ran, tagging the benchmark JSON for the regression gate.
     """
     import gc
 
-    from repro.core.kernels import get_backend, use_backend
     from repro.simulation.replay import replay_trace
 
-    if backend is not None:
-        with use_backend(backend):
-            return run_sweep_benchmark(
-                n_pages=n_pages, n_queries=n_queries, variants=variants,
-                seed=seed, feedback_rate=feedback_rate,
-                flush_every=flush_every, zipf_exponent=zipf_exponent,
-                n_distinct_queries=n_distinct_queries, day_every=day_every,
-                n_workers=n_workers, warm_awareness=warm_awareness,
-                check_parity=check_parity, sweep_repetitions=sweep_repetitions,
-                telemetry_window=telemetry_window, telemetry_out=telemetry_out,
-            )
     kernels = get_backend()
     kernels.warmup()  # JIT backends compile outside the timed regions
     community = DEFAULT_COMMUNITY.scaled(n_pages)

@@ -22,7 +22,7 @@ import time
 from typing import Dict, Optional
 
 from repro.community.config import CommunityConfig, DEFAULT_COMMUNITY
-from repro.core.kernels import get_backend, use_backend
+from repro.core.kernels import get_backend
 from repro.core.policy import RankPromotionPolicy, RECOMMENDED_POLICY
 from repro.simulation.config import SimulationConfig
 from repro.simulation.runner import _run_replicates
@@ -39,7 +39,6 @@ def run_simulation_benchmark(
     seed: int = 0,
     n_workers: Optional[int] = None,
     check_parity: bool = True,
-    backend: Optional[str] = None,
     telemetry_window: Optional[int] = None,
     telemetry_out: Optional[str] = None,
 ) -> Dict[str, float]:
@@ -59,23 +58,14 @@ def run_simulation_benchmark(
         n_workers: optional process-pool shards for the batch engine.
         check_parity: verify bit-identical per-replicate QPC between the two
             engines over the baseline replicates (fluid parity contract).
-        backend: kernel backend to pin for this run (``None`` keeps the
-            process default; multi-worker runs propagate through the
-            ``REPRO_KERNEL_BACKEND`` environment variable instead).
 
-    The report's ``kernel_backend`` entry names the backend that actually
-    ran (after any unavailable-backend fallback), so benchmark JSON and the
+    The run uses the process-default kernel backend (pin it with
+    :func:`repro.core.kernels.use_backend`; multi-worker runs resolve it
+    through the ``REPRO_KERNEL_BACKEND`` environment variable).  The
+    report's ``kernel_backend`` entry names the backend that actually ran
+    (after any unavailable-backend fallback), so benchmark JSON and the
     regression-gate floors are backend-tagged.
     """
-    if backend is not None:
-        with use_backend(backend):
-            return run_simulation_benchmark(
-                community=community, policy=policy, replicates=replicates,
-                baseline_replicates=baseline_replicates,
-                warmup_days=warmup_days, measure_days=measure_days, mode=mode,
-                seed=seed, n_workers=n_workers, check_parity=check_parity,
-                telemetry_window=telemetry_window, telemetry_out=telemetry_out,
-            )
     kernels = get_backend()
     kernels.warmup()  # JIT backends compile outside the timed regions
     community = community or DEFAULT_COMMUNITY

@@ -354,16 +354,13 @@ class TestConcurrentOccWriters:
 class TestRunPoolBenchmark:
     def test_smoke_report_invariants(self):
         report = run_pool_benchmark(
-            n_pages=300,
-            n_shards=2,
-            tenants=2,
-            workers=2,
-            clients=2,
+            ServingConfig(
+                n_pages=300, n_shards=2, tenants=2, workers=2, clients=2, seed=0
+            ),
             n_queries=240,
             batches_per_tenant=2,
             client_rounds=4,
             client_batch=8,
-            seed=0,
         )
         assert report["pool_zero_lost"] == 1.0
         assert report["pool_organic_conflict"] == 1.0
@@ -379,16 +376,13 @@ class TestRunPoolBenchmark:
 
         recorder = TelemetryRecorder(n_shards=2, window=64, label="pool-test")
         report = run_pool_benchmark(
-            n_pages=300,
-            n_shards=2,
-            tenants=1,
-            workers=1,
-            clients=2,
+            ServingConfig(
+                n_pages=300, n_shards=2, tenants=1, workers=1, clients=2, seed=1
+            ),
             n_queries=120,
             batches_per_tenant=2,
             client_rounds=4,
             client_batch=8,
-            seed=1,
             telemetry=recorder,
         )
         assert any(key.startswith("telemetry_") for key in report)

@@ -665,14 +665,14 @@ class TestChaosBench:
         ["numpy", pytest.param("numba", marks=needs_numba)],
     )
     def test_recovery_parity_across_backends(self, backend):
-        report = run_chaos_benchmark(
-            n_pages=2_000,
-            n_queries=640,
-            n_shards=2,
-            flush_every=64,
-            seed=3,
-            backend=backend,
-        )
+        with use_backend(backend):
+            report = run_chaos_benchmark(
+                n_pages=2_000,
+                n_queries=640,
+                n_shards=2,
+                flush_every=64,
+                seed=3,
+            )
         assert report["kernel_backend"] == backend
         assert report["recovery_bit_identical"] == 1.0
         assert report["clean_parity"] == 1.0

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.cli import build_parser, serving_config_from_args
+from repro.cli import build_parser, main, serving_config_from_args
 from repro.community.config import DEFAULT_COMMUNITY, CommunityConfig
 from repro.core.policy import RankPromotionPolicy
 from repro.robustness import FaultEvent, FaultPlan, chaos
@@ -279,9 +279,18 @@ class TestCliServingConfig:
         assert config.n_pages == 20_000
         assert config.max_attempts == RetryPolicy().max_attempts
 
-    def test_flags_land_in_config(self):
-        args = self.parse(
+    def test_flags_land_in_config(self, monkeypatch):
+        from repro.serving import pool
+
+        seen = []
+        monkeypatch.setattr(
+            pool,
+            "run_pool_benchmark",
+            lambda config, **kwargs: seen.append(config) or {},
+        )
+        assert main(
             [
+                "pool-bench",
                 "--pages", "2000",
                 "--shards", "2",
                 "--cache-size", "0",
@@ -294,8 +303,8 @@ class TestCliServingConfig:
                 "--backoff-base", "0.001",
                 "--seed", "9",
             ]
-        )
-        config = serving_config_from_args(args)
+        ) == 0
+        (config,) = seen
         assert config.n_pages == 2000
         assert config.n_shards == 2
         assert config.cache_capacity is None
@@ -314,8 +323,14 @@ class TestCliServingConfig:
 
     def test_shared_flags_reach_every_serving_experiment(self):
         parser = build_parser()
-        for experiment in ("serve-bench", "chaos-bench", "sweep-bench", "sweep-fig"):
+        serving = ("serve-bench", "pool-bench", "chaos-bench", "sweep-bench", "sweep-fig")
+        for experiment in serving:
             args = parser.parse_args(
-                [experiment, "--tenants", "2", "--clients", "1", "--workers", "2"]
+                [experiment, "--pages", "1500", "--cache-size", "0",
+                 "--feedback-rate", "0.5"]
             )
-            assert (args.tenants, args.clients, args.workers) == (2, 1, 2)
+            assert (args.pages, args.cache_size, args.feedback_rate) == (1500, 0, 0.5)
+        # The pool shape belongs to pool-bench alone.
+        for experiment in serving[:1] + serving[2:]:
+            with pytest.raises(SystemExit):
+                parser.parse_args([experiment, "--tenants", "2", "--clients", "1"])
