@@ -5,16 +5,18 @@ arrays.  The entry points here produce, for every row, *exactly* the
 permutation the sequential code path produces — same random draws from the
 same per-replicate generator, same result bit for bit — while doing the
 heavy lifting (sorting, cumulative merge bookkeeping, gathers) across all
-rows at once.
+rows at once.  The serving sweep uses :func:`batched_deterministic_order`
+for the full sorts of its stale lanes (``(L, n)`` stacked popularity, one
+generator per lane); the promotion merge serves the batch simulator alone.
 
 Since the kernel-dispatch refactor the implementations live behind the
 :mod:`repro.core.kernels` backend API: :func:`batched_deterministic_order`
 and :func:`batched_promotion_merge` are thin dispatchers onto the active
 backend's ``rank_day`` / ``promotion_merge`` kernels (the numpy reference
 backend carries the original code verbatim; the optional numba backend
-fuses the same math into JIT loop nests).  The shared helpers that every
+fuses the same math into JIT loop nests).  The shared helpers the numpy
 backend builds on — the flat row-wise gather and the clipped-cumsum merge
-algebra — stay here.
+counts of :func:`batched_merge_counts` — stay here.
 
 Exactness argument for the deterministic order (implemented by the
 backends): the sequential ``_deterministic_order`` is ``np.lexsort`` over
@@ -125,45 +127,6 @@ def batched_merge_counts(
     return counts
 
 
-def batched_prefix_promotion_slots(
-    flips: np.ndarray, n_deterministic: np.ndarray, n_promoted: np.ndarray
-) -> np.ndarray:
-    """Promotion-slot masks for the first ``k`` slots of many merges at once.
-
-    The serving engine's prefix-only randomized promotion
-    (:meth:`ServingEngine._merge_prefix <repro.serving.engine.ServingEngine>`)
-    decides, for the ``k`` visible slots alone, which slots take from the
-    promotion pool: the merge coins are flipped for the unprotected visible
-    slots, promotions are truncated when the pool drains, and trailing slots
-    are forced onto the pool when the deterministic list drains inside the
-    page.  All three behaviours are the clipped-cumsum slot algebra of
-    :func:`batched_merge_counts` restricted to the page prefix — the running
-    count only ever depends on earlier slots — so one batched call covers
-    every merge in the batch.
-
-    Args:
-        flips: ``(L, k_max)`` coin matrix, ``True`` where a slot's coin asks
-            for the promotion list.  Rows serving fewer than ``k_max`` slots
-            (and protected prefixes) must be ``False``-padded; padding never
-            flips because undrawn coins never pass the bias test.
-        n_deterministic: ``(L,)`` size of each row's unpromoted list.
-        n_promoted: ``(L,)`` size of each row's promotion pool.
-
-    Returns:
-        ``(L, k_max)`` boolean matrix; row ``i`` sliced to its page length
-        ``k_i`` equals the ``slots`` vector the sequential ``_merge_prefix``
-        builds, provided ``k_i <= n_deterministic[i] + n_promoted[i]`` (which
-        ``top_k``'s ``k = min(k, n)`` clamp guarantees).  The number of
-        promoted slots in the page is the row's clipped count at ``k_i - 1``,
-        i.e. ``slots[i, :k_i].sum()``.
-    """
-    counts = batched_merge_counts(flips, n_deterministic, n_promoted)
-    slots = np.empty(flips.shape, dtype=bool)
-    slots[:, 0] = counts[:, 0] > 0
-    np.greater(counts[:, 1:], counts[:, :-1], out=slots[:, 1:])
-    return slots
-
-
 def batched_promotion_merge(
     perms: np.ndarray,
     promoted_mask: np.ndarray,
@@ -195,6 +158,5 @@ __all__ = [
     "batched_deterministic_order",
     "batched_promotion_merge",
     "batched_merge_counts",
-    "batched_prefix_promotion_slots",
     "TIE_BREAKERS",
 ]

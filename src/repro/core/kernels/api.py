@@ -130,7 +130,7 @@ def merge_repair(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Exact O(n + d log d) merge repair of one maintained descending order.
 
-    The single-lane reference shared by ``ServingEngine._repair_order`` and
+    The single-lane reference shared by ``ServingEngine._refresh_order`` and
     the grouped :meth:`NumpyKernelBackend.lane_repair` kernel — one
     implementation, so lane-by-lane and grouped repairs cannot drift.  The
     ``dirty`` pages are extracted, sorted by descending popularity (stable
@@ -251,13 +251,14 @@ class KernelBackend(abc.ABC):
         """Grouped merge-repair of maintained descending orders.
 
         One batched call repairs every lane of one community size: lane
-        ``i``'s repaired order must be bit-identical to the sequential
-        O(n + d log d) repair of ``ServingEngine._repair_order`` — extract
-        the ``dirty[i]`` pages, sort them by ``-popularity[i]`` (stable
-        over ascending page index), and merge them back after their equal-
-        popularity keeps.  Callers guarantee ``0 < dirty[i].size < n // 2``
-        (larger dirty sets take the full re-sort path through
-        :meth:`rank_day`) and equal ``n`` across the call.
+        ``i``'s repaired order must be bit-identical to :func:`merge_repair`,
+        the repair ``ServingEngine._refresh_order`` runs on one lane —
+        extract the ``dirty[i]`` pages, sort them by ``-popularity[i]``
+        (stable over ascending page index), and merge them back after their
+        equal-popularity keeps.  The dirty sets are the verdicts of each
+        lane's ``ServingEngine._plan_refresh``, so ``0 < dirty[i].size <
+        n // 2`` (larger dirty sets take the full re-sort path through
+        :meth:`rank_day`) and ``n`` is equal across the call.
         """
 
     @abc.abstractmethod

@@ -42,6 +42,9 @@ from repro.utils.rng import RandomSource, as_rng
 from repro.visits.attention import AttentionModel, PowerLawAttention
 from repro.visits.surfing import MixedSurfingModel
 
+#: :meth:`ServingEngine._plan_refresh` verdict: rebuild the order by a full sort.
+FULL_SORT = object()
+
 
 class ServingEngine:
     """Serves top-k result pages for one community from incremental state.
@@ -181,49 +184,67 @@ class ServingEngine:
     # --------------------------------------------------- order maintenance
 
     def _refresh_order(self) -> None:
-        state = self.state
-        if self._order is None:
-            pop = state.popularity
-            self._tie_key = self.rng.random(state.n)
-            self._order = np.lexsort((self._tie_key, -pop))
-            if self._selective:
-                self._promoted_mask = state.pool.aware_count < 1.0 - 1e-9
-            state.consume_dirty()
-            self._order_version = state.version
-            self.full_sorts += 1
-            if self.telemetry.enabled:
-                self.telemetry.record_full_sort()
+        plan = self._plan_refresh()
+        if plan is None:
             return
-        if self._order_version == state.version:
-            return
-        dirty = state.consume_dirty()
-        self._repair_order(dirty)
-        self._order_version = state.version
-
-    def _repair_order(self, dirty: np.ndarray) -> None:
-        state = self.state
-        n = state.n
-        pop = state.popularity
-        if self._selective and dirty.size:
-            self._promoted_mask[dirty] = (
-                state.pool.aware_count[dirty] < 1.0 - 1e-9
-            )
-        if dirty.size == 0:
-            return
-        if dirty.size >= n // 2:
-            # Most of the community moved; a fresh sort is cheaper than a
-            # merge.
-            self._tie_key = self.rng.random(n)
-            self._order = np.lexsort((self._tie_key, -pop))
-            self.full_sorts += 1
-            if self.telemetry.enabled:
-                self.telemetry.record_full_sort()
+        pop = self.state.popularity
+        if plan is FULL_SORT:
+            tie_key = self.rng.random(self.state.n)
+            self._store_full_sort(np.lexsort((tie_key, -pop)), tie_key)
             return
         # The exact O(n + d log d) merge repair is shared with the grouped
         # lane_repair kernel (one implementation for both paths).
-        self._order, self._dirty_scratch = merge_repair(
-            self._order, pop, dirty, self._dirty_scratch
+        order, self._dirty_scratch = merge_repair(
+            self._order, pop, plan, self._dirty_scratch
         )
+        self._store_repair(order)
+
+    def _plan_refresh(self):
+        """Decide how the maintained order catches up with the state.
+
+        The one owner of that decision, for this engine and for the sweep's
+        batched lanes.  The dirty set is consumed *before* anything reads
+        popularity: a shared-memory state refreshes its process-local
+        popularity only inside ``consume_dirty``.  Refreshes the selective
+        pool mask (in full on the first build, for the dirty pages
+        otherwise) and stamps the order version.
+
+        Returns ``None`` when the order is current, :data:`FULL_SORT` on the
+        first build or when at least half the community moved (a fresh sort
+        is then cheaper than a merge), else the dirty pages to merge-repair.
+        The caller performs the sort or repair and stores it with
+        :meth:`_store_full_sort` / :meth:`_store_repair`.
+        """
+        state = self.state
+        first = self._order is None
+        if not first and self._order_version == state.version:
+            return None
+        dirty = state.consume_dirty()
+        if self._selective:
+            if first:
+                self._promoted_mask = state.pool.aware_count < 1.0 - 1e-9
+            elif dirty.size:
+                self._promoted_mask[dirty] = (
+                    state.pool.aware_count[dirty] < 1.0 - 1e-9
+                )
+        self._order_version = state.version
+        if first:
+            return FULL_SORT
+        if dirty.size == 0:
+            return None
+        if dirty.size >= state.n // 2:
+            return FULL_SORT
+        return dirty
+
+    def _store_full_sort(self, order: np.ndarray, tie_key: np.ndarray) -> None:
+        self._order = order
+        self._tie_key = tie_key
+        self.full_sorts += 1
+        if self.telemetry.enabled:
+            self.telemetry.record_full_sort()
+
+    def _store_repair(self, order: np.ndarray) -> None:
+        self._order = order
         self.repairs += 1
         if self.telemetry.enabled:
             self.telemetry.record_repair()

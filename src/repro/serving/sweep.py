@@ -20,14 +20,14 @@ trace's flush/day boundaries, :meth:`RecordedTrace.boundaries`):
   window, so the R x window_length standalone ``serve`` calls collapse to
   at most one cache validate-on-read per lane (the OCC version-stamp check)
   plus arithmetic hit accounting;
-* the lanes whose stamps went stale recompute **together**: fresh lanes
-  bootstrap their maintained orders through one batched
+* the lanes whose stamps went stale recompute **together**: each lane's
+  engine plans its own refresh (``ServingEngine._plan_refresh``, the one
+  classifier of dirty sets), then every full sort of a community size —
+  first builds and re-sorts alike — runs as one batched
   :func:`~repro.core.batch_rank.batched_deterministic_order` call (stacked
-  ``(L, n)`` popularity, per-lane generators — the same batched argsort +
-  exact tie-run repair the batch simulator uses), and the randomized
-  prefix merges share one
-  :func:`~repro.core.batch_rank.batched_prefix_promotion_slots` call (the
-  clipped-cumsum slot algebra) for their coin-to-slot bookkeeping;
+  ``(L, n)`` popularity, per-lane generators), every merge repair of a size
+  as one grouped ``lane_repair`` kernel call, and each lane's page comes
+  from the engine's own ``top_k``;
 * served pages, click positions and feedback routing are computed for the
   whole window as array programs (one gather + one CRC per variant per
   window instead of per query).
@@ -36,11 +36,12 @@ Parity is structural where it matters: every lane *is* a real
 :class:`~repro.serving.engine.ServingEngine` (same construction order,
 same spawned generators, same cache/state/repair code), and the sweep only
 replaces the per-query outer loop — each engine's generator is consumed in
-exactly the standalone order (order bootstrap → pool mask → merge coins →
-pool sample per recompute; flush and lifecycle draws via the router's own
-methods).  Variants whose configuration defeats window collapsing (no
-cache *and* a randomized policy: every query legitimately re-rolls its
-promotions) fall back to the per-query path lane-by-lane and stay exact.
+exactly the standalone order (tie keys of a full sort → pool mask → merge
+coins → pool sample per recompute; flush and lifecycle draws via the
+router's own methods).  Variants whose configuration defeats window
+collapsing (no cache *and* a randomized policy: every query legitimately
+re-rolls its promotions) fall back to the per-query path lane-by-lane and
+stay exact.
 """
 
 from __future__ import annotations
@@ -55,15 +56,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.community.config import CommunityConfig, DEFAULT_COMMUNITY
-from repro.core.batch_rank import (
-    batched_deterministic_order,
-    batched_prefix_promotion_slots,
-)
+from repro.core.batch_rank import batched_deterministic_order
 from repro.core.kernels import get_backend
 from repro.core.policy import VALID_RULES, RankPromotionPolicy
 from repro.serving.cache import page_key
 from repro.serving.config import ServingConfig, build_router
-from repro.serving.engine import ServingEngine
+from repro.serving.engine import FULL_SORT, ServingEngine
 from repro.serving.router import ShardedRouter, stable_shard_hash
 from repro.serving.workload import RecordedTrace, StreamingWorkload, WorkloadConfig, record_trace
 from repro.utils.parallel import default_workers
@@ -261,13 +259,12 @@ def build_variant_router(
 class _Lane:
     """Per-shard serving lane of one variant inside the sweep."""
 
-    __slots__ = ("engine", "key", "k", "per_query")
+    __slots__ = ("engine", "key", "k")
 
-    def __init__(self, engine: ServingEngine, k: int, per_query: bool) -> None:
+    def __init__(self, engine: ServingEngine, k: int) -> None:
         self.engine = engine
         self.k = min(int(k), engine.state.n)
         self.key = page_key(engine.name, self.k, engine._policy_tag)
-        self.per_query = per_query
 
 
 class _LaneGroup:
@@ -318,14 +315,11 @@ class _VariantReplay:
     ) -> None:
         self.variant = variant
         self.router = router
-        policy = variant.policy()
-        self.deterministic = policy.is_deterministic
         self.per_query = (
-            variant.effective_cache_capacity is None and not self.deterministic
+            variant.effective_cache_capacity is None
+            and not variant.policy().is_deterministic
         )
-        self.lanes = [
-            _Lane(engine, variant.k, self.per_query) for engine in router.engines
-        ]
+        self.lanes = [_Lane(engine, variant.k) for engine in router.engines]
         self.click_cdf = np.cumsum(attention.visit_shares(max(variant.k, 1)))
         self.shard_table: Optional[np.ndarray] = None  # set by the sweep
         self.pages_crc = 0
@@ -588,9 +582,10 @@ class ServingSweep:
         but its backing arrays (awareness, materialized popularity, dirty
         mask, quality) become *row views* of one matrix per community
         size.  Engine and state code keeps mutating its rows in place and
-        never notices; the sweep's batched kernels (the fluid feedback
-        flush, and any future batched repair) get to address all lanes of
-        a group through one flat gather/scatter instead of L small ones.
+        never notices; the fluid feedback flush addresses all lanes of a
+        group through one flat ``feedback_flush`` call instead of L small
+        ones.  Every group is stacked, a lone lane included, so every
+        fluid lane flushes through that one path.
         """
         groups: Dict[Tuple[int, int], List[_Lane]] = {}
         for replay in self._replays:
@@ -601,8 +596,6 @@ class ServingSweep:
         self._groups: List[_LaneGroup] = []
         self._lane_group: Dict[int, Tuple[int, int]] = {}
         for (n, _), lanes in sorted(groups.items()):
-            if len(lanes) < 2:
-                continue
             group = _LaneGroup(lanes, n)
             group_index = len(self._groups)
             self._groups.append(group)
@@ -724,7 +717,6 @@ class ServingSweep:
         flush.  Stochastic lanes (whose awareness update draws from the
         lane's generator) fall back to the per-lane path.
         """
-        fluid: List[Tuple[ServingEngine, List[int], List[float]]] = []
         grouped: Dict[int, List[Tuple[int, ServingEngine, List[int], List[float]]]] = {}
         for replay in self._replays:
             router = replay.router
@@ -736,13 +728,10 @@ class ServingSweep:
                 visits = router._pending_visits[shard]
                 applied += len(indices)
                 if engine.state.mode == "fluid":
-                    assignment = self._lane_group.get(id(engine))
-                    if assignment is None:
-                        fluid.append((engine, indices, visits))
-                    else:
-                        grouped.setdefault(assignment[0], []).append(
-                            (assignment[1], engine, indices, visits)
-                        )
+                    group_index, row = self._lane_group[id(engine)]
+                    grouped.setdefault(group_index, []).append(
+                        (row, engine, indices, visits)
+                    )
                 else:
                     engine.apply_feedback(
                         np.asarray(indices, dtype=int), np.asarray(visits)
@@ -751,8 +740,6 @@ class ServingSweep:
                 router._pending_visits[shard] = []
             if applied:
                 router.flushes += 1
-        if fluid:
-            self._apply_fluid_feedback(fluid)
         for group_index, entries in grouped.items():
             self._apply_group_feedback(self._groups[group_index], entries)
 
@@ -796,241 +783,50 @@ class ServingSweep:
         for _, engine, _, _ in entries:
             engine.state.version += 1
 
-    @staticmethod
-    def _apply_fluid_feedback(
-        batches: List[Tuple[ServingEngine, List[int], List[float]]]
-    ) -> None:
-        stride = 1 + max(engine.state.n for engine, _, _ in batches)
-        keys = np.concatenate(
-            [
-                np.asarray(indices, dtype=np.int64) + lane * stride
-                for lane, (_, indices, _) in enumerate(batches)
-            ]
-        )
-        visits = np.concatenate(
-            [np.asarray(batch_visits, dtype=float) for _, _, batch_visits in batches]
-        )
-        touched_keys, inverse = np.unique(keys, return_inverse=True)
-        summed = np.zeros(touched_keys.size)
-        np.add.at(summed, inverse, visits)
-        # Lane segments of the sorted key space, then one elementwise pass.
-        segments = np.searchsorted(
-            touched_keys, np.arange(len(batches) + 1, dtype=np.int64) * stride
-        )
-        touched = [
-            touched_keys[segments[lane]:segments[lane + 1]] - lane * stride
-            for lane in range(len(batches))
-        ]
-        aware = np.concatenate(
-            [
-                engine.state.pool.aware_count[touched[lane]]
-                for lane, (engine, _, _) in enumerate(batches)
-            ]
-        )
-        populations = np.concatenate(
-            [
-                np.full(
-                    touched[lane].size,
-                    float(engine.state.pool.monitored_population),
-                )
-                for lane, (engine, _, _) in enumerate(batches)
-            ]
-        )
-        # awareness_gain (fluid): gained = (m - aware) * (1 - (1 - 1/m)**v),
-        # elementwise — identical per entry to the per-lane call.
-        gained = (populations - aware) * (
-            1.0 - (1.0 - 1.0 / populations) ** summed
-        )
-        updated = np.minimum(populations, aware + gained)
-        position = 0
-        for lane, (engine, _, _) in enumerate(batches):
-            pages = touched[lane]
-            values = updated[position:position + pages.size]
-            position += pages.size
-            state = engine.state
-            pool = state.pool
-            pool.aware_count[pages] = values
-            # PopularityState._mark_changed, inlined per lane.
-            state._popularity[pages] = (
-                values / pool.monitored_population
-            ) * pool.quality[pages]
-            state._dirty_mask[pages] = True
-            state.version += 1
-
     def _recompute(self, stale: List[Tuple[_VariantReplay, int]]) -> None:
-        """Refresh and re-serve every lane whose cached page went stale."""
-        if not stale:
-            return
-        engines = [
-            replay.lanes[lane_index].engine for replay, lane_index in stale
-        ]
-        self._bootstrap(
-            [engine for engine in engines if engine._order is None]
-        )
-        self._refresh_stale(
-            [
-                engine
-                for engine in engines
-                if engine._order_version != engine.state.version
-            ]
-        )
+        """Refresh and re-serve every lane whose cached page went stale.
 
-        randomized: List[Tuple[_VariantReplay, int]] = []
-        for (replay, lane_index), engine in zip(stale, engines, strict=True):
-            if replay.deterministic:
-                k = replay.lanes[lane_index].k
-                replay.store_page(lane_index, engine._order[:k].copy())
-            else:
-                randomized.append((replay, lane_index))
-        if randomized:
-            self._serve_randomized(randomized)
-
-    def _refresh_stale(self, engines: List[ServingEngine]) -> None:
-        """Grouped equivalent of per-lane ``_refresh_order`` for dirty lanes.
-
-        Each lane's dirty set is consumed and classified exactly as
-        ``ServingEngine._repair_order`` classifies it — selective-pool mask
-        refresh, empty-set no-op, full re-sort when at least half the
-        community moved, merge repair otherwise — but the expensive cases
-        then run **batched**: full re-sorts of equal-size lanes share one
+        Each engine plans its own refresh; the sweep only batches the work
+        the plans ask for.  Full sorts of equal-size lanes share one
         :func:`~repro.core.batch_rank.batched_deterministic_order` call
-        (per-lane tie keys drawn from each lane's own generator, exactly
-        the draws the standalone path makes), and the merge repairs of
-        equal-size lanes run as one grouped ``lane_repair`` kernel call
-        instead of lane-by-lane ``_repair_order`` — the ROADMAP's batched
-        lane repair, previously ~20% of remaining sweep time.
+        (each lane's tie keys drawn from its own generator, exactly the
+        draws of the engine's ``np.lexsort`` path, which ``rank_day``
+        reproduces bit for bit), and merge repairs of equal-size lanes share
+        one ``lane_repair`` kernel call.  Pages then come from each engine's
+        ``top_k``, which finds its order current.
         """
         resorts: Dict[int, List[ServingEngine]] = {}
         repairs: Dict[int, List[Tuple[ServingEngine, np.ndarray]]] = {}
-        for engine in engines:
-            state = engine.state
-            dirty = state.consume_dirty()
-            if engine._selective and dirty.size:
-                engine._promoted_mask[dirty] = (
-                    state.pool.aware_count[dirty] < 1.0 - 1e-9
-                )
-            if dirty.size:
-                if dirty.size >= state.n // 2:
-                    resorts.setdefault(state.n, []).append(engine)
-                else:
-                    repairs.setdefault(state.n, []).append((engine, dirty))
-            engine._order_version = state.version
+        for replay, lane_index in stale:
+            engine = replay.lanes[lane_index].engine
+            plan = engine._plan_refresh()
+            if plan is FULL_SORT:
+                resorts.setdefault(engine.state.n, []).append(engine)
+            elif plan is not None:
+                repairs.setdefault(engine.state.n, []).append((engine, plan))
         for n, group in resorts.items():
-            if len(group) == 1:
-                engine = group[0]
-                engine._tie_key = engine.rng.random(n)
-                engine._order = np.lexsort(
-                    (engine._tie_key, -engine.state.popularity)
-                )
-                engine.full_sorts += 1
-                continue
-            popularity = np.stack([engine.state.popularity for engine in group])
             tie_keys = np.empty((len(group), n), dtype=float)
             orders = batched_deterministic_order(
-                popularity,
+                np.stack([engine.state.popularity for engine in group]),
                 None,
                 "random",
                 [engine.rng for engine in group],
                 out_tie_keys=tie_keys,
             )
             for row, engine in enumerate(group):
-                engine._tie_key = tie_keys[row].copy()
-                engine._order = orders[row].copy()
-                engine.full_sorts += 1
+                engine._store_full_sort(orders[row].copy(), tie_keys[row].copy())
         backend = get_backend()
-        for _n, entries in repairs.items():
+        for entries in repairs.values():
             repaired = backend.lane_repair(
                 [engine._order for engine, _ in entries],
                 [engine.state.popularity for engine, _ in entries],
                 [dirty for _, dirty in entries],
             )
             for (engine, _), order in zip(entries, repaired, strict=True):
-                engine._order = order
-                engine.repairs += 1
-
-    def _bootstrap(self, engines: List[ServingEngine]) -> None:
-        """Batch-build the maintained orders of first-served lanes.
-
-        Mirrors the first branch of ``ServingEngine._refresh_order`` —
-        per-lane tie-key draw, descending sort, selective-pool snapshot,
-        dirty consumption, version stamp — but runs the sort as one
-        batched argsort + exact tie-run repair per community size.
-        """
-        groups: Dict[int, List[ServingEngine]] = {}
-        for engine in engines:
-            groups.setdefault(engine.state.n, []).append(engine)
-        for n, group in groups.items():
-            if len(group) == 1:
-                group[0]._refresh_order()
-                continue
-            popularity = np.stack([engine.state.popularity for engine in group])
-            tie_keys = np.empty((len(group), n), dtype=float)
-            orders = batched_deterministic_order(
-                popularity,
-                None,
-                "random",
-                [engine.rng for engine in group],
-                out_tie_keys=tie_keys,
-            )
-            for row, engine in enumerate(group):
-                engine._tie_key = tie_keys[row].copy()
-                engine._order = orders[row].copy()
-                if engine._selective:
-                    engine._promoted_mask = (
-                        engine.state.pool.aware_count < 1.0 - 1e-9
-                    )
-                engine.state.consume_dirty()
-                engine._order_version = engine.state.version
-                engine.full_sorts += 1
-
-    def _serve_randomized(
-        self, lanes: List[Tuple[_VariantReplay, int]]
-    ) -> None:
-        """Recompute randomized prefix pages for many lanes at once.
-
-        Per lane, the generator is consumed in the standalone ``top_k``
-        order — promotion-pool mask, merge coins, pool sample — while the
-        coin-to-slot bookkeeping of every lane runs through one
-        clipped-cumsum kernel call.
-        """
-        count = len(lanes)
-        k_max = max(replay.lanes[lane_index].k for replay, lane_index in lanes)
-        flips = np.zeros((count, k_max), dtype=bool)
-        n_deterministic = np.empty(count, dtype=np.int64)
-        n_promoted = np.empty(count, dtype=np.int64)
-        masks: List[np.ndarray] = []
-        for row, (replay, lane_index) in enumerate(lanes):
+                engine._store_repair(order)
+        for replay, lane_index in stale:
             lane = replay.lanes[lane_index]
-            engine = lane.engine
-            mask = np.asarray(engine._promotion_pool_mask(engine.rng), dtype=bool)
-            masks.append(mask)
-            pool = int(mask.sum())
-            n_promoted[row] = pool
-            n_deterministic[row] = engine.state.n - pool
-            protected = min(replay.variant.promote_k - 1, lane.k)
-            open_slots = lane.k - protected
-            if open_slots > 0:
-                flips[row, protected:lane.k] = (
-                    engine.rng.random(open_slots) < replay.variant.r
-                )
-        slots_matrix = batched_prefix_promotion_slots(
-            flips, n_deterministic, n_promoted
-        )
-        for row, (replay, lane_index) in enumerate(lanes):
-            lane = replay.lanes[lane_index]
-            engine = lane.engine
-            slots = slots_matrix[row, : lane.k]
-            promoted_count = int(slots.sum())
-            deterministic = engine._unpromoted_prefix(
-                lane.k - promoted_count, masks[row]
-            )
-            promoted = engine._sample_pool(
-                engine.rng, masks[row], int(n_promoted[row]), promoted_count
-            )
-            page = np.empty(lane.k, dtype=int)
-            page[slots] = promoted
-            page[~slots] = deterministic
-            replay.store_page(lane_index, page)
+            replay.store_page(lane_index, lane.engine.top_k(lane.k))
 
 
 @dataclass

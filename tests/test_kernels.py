@@ -475,9 +475,10 @@ class TestRankDay:
     ):
         """Grouped stale-lane re-sorts equal each engine's own re-sort.
 
-        Past the ``n // 2`` dirty threshold ``_refresh_stale`` re-sorts
-        every equal-size lane in one ``batched_deterministic_order`` call;
-        each engine on its own re-sorts through ``np.lexsort``.  Both sides
+        Past the ``n // 2`` dirty threshold each engine plans a full sort;
+        the sweep's ``_recompute`` runs every equal-size lane's sort in one
+        ``batched_deterministic_order`` call, while each engine on its own
+        re-sorts through ``np.lexsort``.  Both sides
         start from identically seeded sweeps, so the tie keys drawn from
         each lane's generator and the resulting orders must agree.
         """
@@ -497,7 +498,7 @@ class TestRankDay:
             return sweep, engines
 
         sweep, grouped = stale_engines()
-        sweep._refresh_stale(grouped)
+        sweep._recompute([(replay, 0) for replay in sweep._replays])
         _, single = stale_engines()
         for engine in single:
             engine._refresh_order()

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.community.config import DEFAULT_COMMUNITY
+from repro.core.policy import DETERMINISTIC_POLICY
 from repro.serving.bench import sample_steady_awareness
 from repro.serving.config import ServingConfig, build_pool, build_router
+from repro.serving.engine import ServingEngine
 from repro.serving.pool import ServingPool, run_pool_benchmark
 from repro.serving.state import (
     PopularityState,
@@ -101,6 +103,36 @@ class TestSharedPopularityState:
             attached.consume_dirty()
             assert np.array_equal(attached.popularity, owner.popularity)
             attached.close()
+        finally:
+            owner.close()
+            owner.unlink()
+
+    def test_first_build_sorts_commits_made_before_it(self):
+        """Commits landing before a view's first query are in its first order.
+
+        A shared view refreshes its process-local popularity only when it
+        consumes the dirty set, so the first build must consume before it
+        sorts; sorting first ranks the stale (all-zero) popularity and then
+        discards the dirty pages for good.
+        """
+        owner = SharedPopularityState.create(COMMUNITY, rng=1, mode="fluid")
+        try:
+            writer = SharedPopularityState.attach(owner.handle, owner._lock)
+            reader = SharedPopularityState.attach(owner.handle, owner._lock)
+            visited = np.arange(50)
+            assert writer.commit_visits_at(
+                visited, np.ones(visited.size), writer.version, rng=as_rng(4)
+            )
+            engine = ServingEngine(
+                COMMUNITY, DETERMINISTIC_POLICY, state=reader, seed=2
+            )
+            page = engine.top_k(10)
+            popularity = engine.state.popularity
+            assert popularity.max() > 0.0
+            assert np.all(np.diff(popularity[engine._order]) <= 0)
+            assert popularity[page[0]] == popularity.max()
+            writer.close()
+            reader.close()
         finally:
             owner.close()
             owner.unlink()
