@@ -205,9 +205,11 @@ class ServingEngine:
         The one owner of that decision, for this engine and for the sweep's
         batched lanes.  The dirty set is consumed *before* anything reads
         popularity: a shared-memory state refreshes its process-local
-        popularity only inside ``consume_dirty``.  Refreshes the selective
-        pool mask (in full on the first build, for the dirty pages
-        otherwise) and stamps the order version.
+        popularity only inside ``consume_dirty``.  The order is stamped with
+        the version read *before* that consumption, so a commit racing it
+        from another process leaves the stamp behind and the next call
+        repairs its pages.  Refreshes the selective pool mask (in full on
+        the first build, for the dirty pages otherwise).
 
         Returns ``None`` when the order is current, :data:`FULL_SORT` on the
         first build or when at least half the community moved (a fresh sort
@@ -217,7 +219,8 @@ class ServingEngine:
         """
         state = self.state
         first = self._order is None
-        if not first and self._order_version == state.version:
+        version = state.version
+        if not first and self._order_version == version:
             return None
         dirty = state.consume_dirty()
         if self._selective:
@@ -227,7 +230,7 @@ class ServingEngine:
                 self._promoted_mask[dirty] = (
                     state.pool.aware_count[dirty] < 1.0 - 1e-9
                 )
-        self._order_version = state.version
+        self._order_version = version
         if first:
             return FULL_SORT
         if dirty.size == 0:

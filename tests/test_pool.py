@@ -137,6 +137,49 @@ class TestSharedPopularityState:
             owner.close()
             owner.unlink()
 
+    def test_commit_racing_a_refresh_is_repaired_next(self):
+        """A commit landing while the order refreshes is not stamped current.
+
+        The commit is slipped in right after the reader consumed its dirty
+        set, the window a writer process can hit.  Stamping the order with
+        the version read after that commit would hide its pages from every
+        later refresh until an unrelated commit arrives.
+        """
+        owner = SharedPopularityState.create(COMMUNITY, rng=1, mode="fluid")
+        try:
+            writer = SharedPopularityState.attach(owner.handle, owner._lock)
+            reader = SharedPopularityState.attach(owner.handle, owner._lock)
+            engine = ServingEngine(
+                COMMUNITY, DETERMINISTIC_POLICY, state=reader, seed=2
+            )
+            engine.top_k(10)
+            assert writer.commit_visits_at(
+                np.arange(10), np.ones(10), writer.version, rng=as_rng(4)
+            )
+            consume = reader.consume_dirty
+
+            def consume_then_race():
+                dirty = consume()
+                racing = np.arange(50, 60)
+                assert writer.commit_visits_at(
+                    racing, np.full(racing.size, 5.0), writer.version,
+                    rng=as_rng(5),
+                )
+                return dirty
+
+            reader.consume_dirty = consume_then_race
+            engine.top_k(10)
+            reader.consume_dirty = consume
+            engine.top_k(10)
+            pool = owner.pool
+            committed = pool.aware_count / pool.monitored_population * pool.quality
+            assert np.all(np.diff(committed[engine._order]) <= 0)
+            writer.close()
+            reader.close()
+        finally:
+            owner.close()
+            owner.unlink()
+
     def test_close_freezes_a_readable_copy(self):
         shared = SharedPopularityState.create(COMMUNITY, rng=2, mode="fluid")
         _commit_some(shared, as_rng(5), batches=2)
