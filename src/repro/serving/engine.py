@@ -286,26 +286,19 @@ class ServingEngine:
         n = self.state.n
         protected = min(self.policy.k - 1, k)
         open_slots = k - protected
-        flips = (
-            generator.random(open_slots) < self.policy.r
-            if open_slots > 0
-            else np.zeros(0, dtype=bool)
-        )
-        s = min(int(flips.sum()), pool_count)
+        slots = np.zeros(k, dtype=bool)
+        if open_slots > 0:
+            slots[protected:] = generator.random(open_slots) < self.policy.r
+        flipped = int(slots.sum())
+        s = min(flipped, pool_count)
         n_unpromoted = n - pool_count
         if k - s > n_unpromoted:
             # Deterministic list drains within the page; tail comes from the pool.
             s = min(k - n_unpromoted, pool_count)
-
-        slots = np.zeros(k, dtype=bool)
-        flip_true = np.flatnonzero(flips) + protected
-        if s < flip_true.size:
-            flip_true = flip_true[:s]  # promotion pool drained
-        slots[flip_true] = True
-        short = s - flip_true.size
-        if short > 0:  # deterministic list drained: fill trailing slots
-            tail_false = np.flatnonzero(~slots)[-short:]
-            slots[tail_false] = True
+        if s < flipped:  # promotion pool drained: only the first s flips promote
+            slots[np.flatnonzero(slots)[s:]] = False
+        elif s > flipped:  # deterministic list drained: fill trailing slots
+            slots[np.flatnonzero(~slots)[flipped - s:]] = True
 
         deterministic = self._unpromoted_prefix(k - s, mask)
         promoted = self._sample_pool(generator, mask, pool_count, s)

@@ -710,11 +710,11 @@ class ServingSweep:
         Replicates ``ShardedRouter.flush_feedback`` — the same per-lane
         events, the same per-lane version bump, the same ``flushes``
         accounting — but runs the fluid-mode awareness arithmetic of
-        ``PopularityState.apply_visits_at`` once over the concatenation of
-        every lane's batch instead of once per lane.  Per-page visit sums
-        use per-lane composite keys, so each lane's touched set, summation
-        order and elementwise update are bit-identical to its standalone
-        flush.  Stochastic lanes (whose awareness update draws from the
+        ``PopularityState.apply_visits_at`` as one ``feedback_flush`` call
+        per stacked lane group instead of once per lane.  Per-page visit
+        sums use per-lane composite keys, so each lane's touched set,
+        summation order and elementwise update are bit-identical to its
+        standalone flush.  Stochastic lanes (whose awareness update draws from the
         lane's generator) fall back to the per-lane path.
         """
         grouped: Dict[int, List[Tuple[int, ServingEngine, List[int], List[float]]]] = {}

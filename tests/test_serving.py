@@ -9,8 +9,11 @@ version-stamped cache, the sharded router and the workload generator.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.community import CommunityConfig, PagePool
+from repro.core.merge import merge_positions
 from repro.core.policy import (
     DETERMINISTIC_POLICY,
     RECOMMENDED_POLICY,
@@ -185,6 +188,45 @@ def test_protected_prefix_never_promoted(serving_community):
     for _ in range(20):
         page = engine.top_k(10)
         assert set(page[:2]) == set(leaders)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_merge_prefix_promotes_the_full_merge_prefix_slots(data):
+    """The served prefix takes pool pages exactly where the full merge does.
+
+    ``_merge_prefix`` flips merge coins for the visible slots alone; from
+    the same generator state its pool slots must be the first ``k`` slots
+    of the sequential :func:`~repro.core.merge.merge_positions`, in every
+    drain case (pool or deterministic list running out inside the page).
+    The coins line up when the deterministic list covers the protected
+    prefix, which the strategy keeps.
+    """
+    n = data.draw(st.integers(min_value=1, max_value=40), label="n")
+    pool = data.draw(st.integers(min_value=0, max_value=n), label="pool")
+    promote_k = data.draw(
+        st.integers(min_value=1, max_value=min(4, n - pool + 1)), label="promote_k"
+    )
+    k = data.draw(st.integers(min_value=1, max_value=n), label="k")
+    r = data.draw(st.sampled_from([0.1, 0.5, 0.9]), label="r")
+    seed = data.draw(st.integers(min_value=0, max_value=2**16), label="seed")
+    community = CommunityConfig(
+        n_pages=n,
+        n_users=30,
+        monitored_fraction=0.4,
+        visits_per_user_per_day=1.0,
+        expected_lifetime_days=30.0,
+    )
+    engine = ServingEngine(
+        community, RankPromotionPolicy("uniform", promote_k, r), seed=seed
+    )
+    engine.top_k(1)  # build the maintained order
+    mask = np.zeros(n, dtype=bool)
+    mask[np.random.default_rng(seed).permutation(n)[:pool]] = True
+    page = engine._merge_prefix(k, mask, pool, np.random.default_rng(seed))
+    expected = merge_positions(n, pool, promote_k, r, np.random.default_rng(seed))
+    np.testing.assert_array_equal(mask[page], expected[:k])
+    assert np.unique(page).size == k
 
 
 def test_cold_start_ties_not_pinned_to_index_order(serving_community):
